@@ -50,9 +50,6 @@ type workloadRow struct {
 	// Path is "core" (in-process engine) or "wire" (papyrusd loopback).
 	Path    string `json:"path"`
 	Workers int    `json:"workers"`
-	// Backend is the store's version-index backend (-backend flag); the
-	// fingerprints must not depend on it (docs/STORAGE.md).
-	Backend string `json:"backend"`
 	// Steps and StepsPerSec measure completed engine work; WallMS is the
 	// whole drive (host-dependent, excluded from the fingerprints).
 	Steps       int64   `json:"steps"`
@@ -75,7 +72,6 @@ func runWorkloadCore(w *workload.Workload, workers int) workloadRow {
 		Workers:          workers,
 		DisableInference: true,
 		Metrics:          reg,
-		StoreBackend:     benchBackend,
 	})
 	sys, err := core.New(cfg)
 	must(err)
@@ -92,7 +88,6 @@ func runWorkloadCore(w *workload.Workload, workers int) workloadRow {
 		Rounds:      w.Rounds,
 		Path:        "core",
 		Workers:     workers,
-		Backend:     backendLabel(),
 		Steps:       steps,
 		WallMS:      float64(wall.Microseconds()) / 1000,
 		StepsPerSec: float64(steps) / wall.Seconds(),
@@ -113,7 +108,6 @@ func runWorkloadWire(w *workload.Workload, workers int) workloadRow {
 		Shards:           1,
 		Nodes:            4,
 		Workers:          workers,
-		StoreBackend:     benchBackend,
 		ExtraTemplates:   w.Templates,
 		DisableInference: !w.Inference,
 		Fault:            w.Fault,
@@ -143,7 +137,6 @@ func runWorkloadWire(w *workload.Workload, workers int) workloadRow {
 		Rounds:      w.Rounds,
 		Path:        "wire",
 		Workers:     workers,
-		Backend:     backendLabel(),
 		Steps:       steps,
 		WallMS:      float64(wall.Microseconds()) / 1000,
 		StepsPerSec: float64(steps) / wall.Seconds(),
@@ -245,11 +238,11 @@ func expWorkload() {
 
 	var md strings.Builder
 	md.WriteString("### E15 workload: generated scenario profiles\n\n")
-	md.WriteString("| profile | path | workers | backend | rounds | steps | steps/sec |\n")
-	md.WriteString("|:---|:---|---:|:---|---:|---:|---:|\n")
+	md.WriteString("| profile | path | workers | rounds | steps | steps/sec |\n")
+	md.WriteString("|:---|:---|---:|---:|---:|---:|\n")
 	for _, r := range rows {
-		fmt.Fprintf(&md, "| %s | %s | %d | %s | %d | %d | %.1f |\n",
-			r.Profile, r.Path, r.Workers, r.Backend, r.Rounds, r.Steps, r.StepsPerSec)
+		fmt.Fprintf(&md, "| %s | %s | %d | %d | %d | %.1f |\n",
+			r.Profile, r.Path, r.Workers, r.Rounds, r.Steps, r.StepsPerSec)
 	}
 	md.WriteString("\n")
 	appendSummary(md.String())

@@ -70,19 +70,18 @@ var (
 	walDir     = flag.String("wal-dir", "", "write-ahead log directory; enables durability (docs/DURABILITY.md)")
 	fsyncEvery = flag.Int64("fsync-every", 1, "group-commit flush interval in virtual ticks (<=1 fsyncs every append)")
 	useMemo    = flag.Bool("memo", false, "enable the history-based step-result cache (docs/CACHING.md)")
-	backend    = flag.String("backend", "", "object-store version-index backend: map, btree, or lsm (docs/STORAGE.md)")
 )
 
 // flagOrder is the order -h prints flags in. The stock alphabetical
 // listing put -fsync-every ahead of the -wal-dir it modifies.
-var flagOrder = []string{"wal-dir", "fsync-every", "memo", "backend"}
+var flagOrder = []string{"wal-dir", "fsync-every", "memo"}
 
 // usage replaces the default flag.Usage: same per-flag format, but in
 // flagOrder instead of alphabetically. Flags missing from flagOrder are
 // appended at the end so nothing ever drops out of -h.
 func usage() {
 	w := flag.CommandLine.Output()
-	fmt.Fprintln(w, "usage: papyrus [-wal-dir dir [-fsync-every n]] [-memo] [-backend map|btree|lsm]")
+	fmt.Fprintln(w, "usage: papyrus [-wal-dir dir [-fsync-every n]] [-memo]")
 	fmt.Fprintln(w, "\ninteractive design-process shell; type `help` at the prompt for commands.")
 	fmt.Fprintln(w, "\nflags:")
 	seen := make(map[string]bool, len(flagOrder))
@@ -113,8 +112,7 @@ func usage() {
 // `trace` work without flags.
 func shellConfig() core.Config {
 	cfg := core.Config{Nodes: 4, ReMigrateEvery: 25,
-		Metrics: obs.NewRegistry(), Trace: obs.NewTracer(),
-		StoreBackend: *backend}
+		Metrics: obs.NewRegistry(), Trace: obs.NewTracer()}
 	if *walDir != "" {
 		cfg.Durability = &core.DurabilityConfig{Dir: *walDir, FsyncEvery: *fsyncEvery}
 	}

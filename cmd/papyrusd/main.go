@@ -16,7 +16,6 @@
 //	-shards    engine instances tenants are hashed across (default 4)
 //	-nodes     simulated workstations per shard cluster (default 4)
 //	-workers   task-manager worker pool per session (default 0 = auto)
-//	-backend   object-store version-index backend per shard: map, btree, or lsm (docs/STORAGE.md)
 //	-rate      per-tenant task admissions per second (default 0 = off)
 //	-burst     per-tenant token-bucket burst (default max(1, rate))
 //	-maxqueue  bound on queued task submissions before load shedding (default 256)
@@ -47,7 +46,7 @@ import (
 // the package doc (serving, sharding, admission), not the stock
 // alphabetical listing, which leads with -burst ahead of -rate.
 var flagOrder = []string{
-	"addr", "shards", "nodes", "workers", "backend",
+	"addr", "shards", "nodes", "workers",
 	"rate", "burst", "maxqueue", "qworkers", "memo",
 	"sweep-every", "grace", "sweep-budget",
 }
@@ -89,7 +88,6 @@ func main() {
 		shards   = flag.Int("shards", 4, "engine instances tenants are hashed across")
 		nodes    = flag.Int("nodes", 4, "simulated workstations per shard cluster")
 		workers  = flag.Int("workers", 0, "task-manager worker pool per session (0 = auto)")
-		backend  = flag.String("backend", "", "object-store version-index backend per shard: map, btree, or lsm (docs/STORAGE.md)")
 		rate     = flag.Float64("rate", 0, "per-tenant task admissions per second (0 = unlimited)")
 		burst    = flag.Float64("burst", 0, "per-tenant token-bucket burst (0 = max(1, rate))")
 		maxQueue = flag.Int("maxqueue", 256, "queued task submissions before load shedding (429)")
@@ -105,11 +103,10 @@ func main() {
 
 	metrics := obs.NewRegistry()
 	srv, err := server.New(server.Config{
-		Shards:       *shards,
-		Nodes:        *nodes,
-		Workers:      *workers,
-		StoreBackend: *backend,
-		Memo:         *useMemo,
+		Shards:  *shards,
+		Nodes:   *nodes,
+		Workers: *workers,
+		Memo:    *useMemo,
 		Admission: server.AdmissionConfig{
 			RatePerSec: *rate,
 			Burst:      *burst,

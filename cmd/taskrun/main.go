@@ -46,7 +46,6 @@ func main() {
 	retries := flag.Int("retries", 3, "max attempts per step for transient failures (1 disables retries)")
 	backoff := flag.Int64("backoff", 8, "virtual-tick backoff before the first retry (doubles per attempt)")
 	workers := flag.Int("workers", 0, "tool-body worker pool size (0 = default; any value yields identical results)")
-	backend := flag.String("backend", "", "object-store version-index backend: map, btree, or lsm (docs/STORAGE.md)")
 	stepLatency := flag.Duration("steplatency", 0, "wall-clock latency injected per tool body, e.g. 2ms (models real tool spawn cost)")
 	walDir := flag.String("wal-dir", "", "write-ahead log directory; enables durability (docs/DURABILITY.md)")
 	fsyncEvery := flag.Int64("fsync-every", 1, "group-commit flush interval in virtual ticks (<=1 fsyncs every append)")
@@ -77,7 +76,6 @@ func main() {
 		Fault:   plan,
 		Retry:   task.RetryPolicy{MaxAttempts: *retries, BackoffBase: *backoff},
 		Workers: *workers, StepLatency: *stepLatency,
-		StoreBackend: *backend,
 	}
 	if *walDir != "" {
 		cfg.Durability = &core.DurabilityConfig{Dir: *walDir, FsyncEvery: *fsyncEvery}

@@ -63,10 +63,10 @@ type Config struct {
 	// striped-apply invariance matrix runs 1 vs 64 to prove the stripe
 	// count is unobservable in stats, traces, and version maps.
 	StoreStripes int
-	// StoreBackend selects the object store's version-index backend:
-	// "map" (default), "btree", or "lsm" (docs/STORAGE.md). The
-	// differential harness and the E16 experiment prove the backends
-	// observationally identical, so this is purely a performance choice.
+	// StoreBackend accepts only "" or "map", the one object-store index
+	// (docs/STORAGE.md); New rejects anything else. It survives only
+	// because the perfbench harness still sets it, and goes once that
+	// benchmark can change.
 	StoreBackend string
 	// NodeSpeeds optionally sets per-node relative CPU speeds.
 	NodeSpeeds []float64
@@ -148,6 +148,9 @@ type System struct {
 
 // New builds and wires a System.
 func New(cfg Config) (*System, error) {
+	if cfg.StoreBackend != "" && cfg.StoreBackend != "map" {
+		return nil, fmt.Errorf("core: unknown store backend %q (the only store is \"map\")", cfg.StoreBackend)
+	}
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 4
 	}
@@ -164,13 +167,7 @@ func New(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	store, err := oct.NewStoreWithOptions(oct.Options{
-		Stripes: cfg.StoreStripes,
-		Backend: oct.Backend(cfg.StoreBackend),
-	})
-	if err != nil {
-		return nil, err
-	}
+	store := oct.NewStoreWithStripes(cfg.StoreStripes)
 	s := &System{
 		Suite:   cad.NewSuite(),
 		Store:   store,

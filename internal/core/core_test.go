@@ -103,6 +103,21 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
+// TestStoreBackendRejected: the object store has one index, so New
+// accepts only the empty and "map" StoreBackend values.
+func TestStoreBackendRejected(t *testing.T) {
+	for _, ok := range []string{"", "map"} {
+		if _, err := New(Config{StoreBackend: ok}); err != nil {
+			t.Errorf("StoreBackend %q rejected: %v", ok, err)
+		}
+	}
+	for _, bad := range []string{"btree", "MAP", "bogus"} {
+		if _, err := New(Config{StoreBackend: bad}); err == nil {
+			t.Errorf("StoreBackend %q accepted", bad)
+		}
+	}
+}
+
 func TestExtraTemplates(t *testing.T) {
 	s := newSystem(t, Config{ExtraTemplates: map[string]string{
 		"Custom": "task Custom {A} {Out}\nstep S {A} {Out} {bdsyn -o Out A}\n",
@@ -163,5 +178,75 @@ func TestBackgroundSweep(t *testing.T) {
 	}
 	if _, err := s.Store.Get(ref); err == nil {
 		t.Error("background sweep did not reclaim the hidden object")
+	}
+}
+
+// TestInferenceFacades drives the Ch. 6 read-side surfaces System
+// exposes — InferenceQuery's ops, OutOfDate, and Rebuild — through one
+// derivation and a source edit, and checks each refuses to run without
+// the inference engine.
+func TestInferenceFacades(t *testing.T) {
+	s := newSystem(t, Config{})
+	if _, err := s.ImportObject("/specs/shifter", oct.TypeBehavioral, oct.Text(logic.ShifterBehavior(4))); err != nil {
+		t.Fatal(err)
+	}
+	th := s.NewThread("facades", "test")
+	rec, err := s.Invoke(th, "create-logic-description",
+		map[string]string{"Spec": "/specs/shifter"},
+		map[string]string{"Outlogic": "shifter.logic"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := rec.Outputs[0]
+
+	res, err := s.InferenceQuery("type", out)
+	if err != nil || res.Type != oct.TypeLogic {
+		t.Errorf("type query = %q, %v; want %q", res.Type, err, oct.TypeLogic)
+	}
+	if res, err := s.InferenceQuery("lineage", out); err != nil || len(res.Refs) == 0 {
+		t.Errorf("lineage query = %v, %v; want a non-empty chain", res.Refs, err)
+	}
+	if _, err := s.InferenceQuery("equivalence", out); err != nil {
+		t.Errorf("equivalence query: %v", err)
+	}
+	if res, err := s.InferenceQuery("relationships", out); err != nil || len(res.Relationships) == 0 {
+		t.Errorf("relationships query = %v, %v; want the derivation edges", res.Relationships, err)
+	}
+	if _, err := s.InferenceQuery("type", oct.Ref{Name: "/nowhere", Version: 1}); err == nil {
+		t.Error("type query on an unknown object succeeded")
+	}
+	if _, err := s.InferenceQuery("bogus", out); err == nil {
+		t.Error("unknown query op accepted")
+	}
+
+	if stale, err := s.OutOfDate(out); err != nil || stale {
+		t.Fatalf("fresh derivation OutOfDate = %v, %v", stale, err)
+	}
+	if _, err := s.ImportObject("/specs/shifter", oct.TypeBehavioral, oct.Text(logic.ShifterBehavior(4))); err != nil {
+		t.Fatal(err)
+	}
+	if stale, err := s.OutOfDate(out); err != nil || !stale {
+		t.Fatalf("OutOfDate after a source edit = %v, %v; want stale", stale, err)
+	}
+	if res, err := s.InferenceQuery("outofdate", out); err != nil || !res.OutOfDate {
+		t.Errorf("outofdate query = %v, %v; want stale", res.OutOfDate, err)
+	}
+	rebuilt, err := s.Rebuild(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rebuilt.Name != out.Name || rebuilt.Version <= out.Version {
+		t.Errorf("Rebuild produced %s, want a newer version of %s", rebuilt, out)
+	}
+
+	off := newSystem(t, Config{DisableInference: true})
+	if _, err := off.InferenceQuery("type", out); err == nil {
+		t.Error("InferenceQuery ran without the inference engine")
+	}
+	if _, err := off.OutOfDate(out); err == nil {
+		t.Error("OutOfDate ran without the inference engine")
+	}
+	if _, err := off.Rebuild(out); err == nil {
+		t.Error("Rebuild ran without the inference engine")
 	}
 }

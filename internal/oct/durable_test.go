@@ -251,3 +251,50 @@ func TestRecoverTornTailIsPrefix(t *testing.T) {
 		}
 	}
 }
+
+// TestReplayWALRecordRejectsCorrupt: a record that passed its frame CRC
+// but carries a payload the store cannot apply — undecodable JSON, a
+// version slot below 1, a type without a codec, a payload the codec
+// rejects, a checkpoint that disagrees with the restored content — is
+// an error, never a panic or a silent partial apply. Records of other
+// subsystems are skipped.
+func TestReplayWALRecordRejectsCorrupt(t *testing.T) {
+	empty := NewStore().Fingerprint()
+	for _, tc := range []struct {
+		name    string
+		rec     wal.Record
+		wantErr string
+	}{
+		{"commit-not-json", wal.Record{Type: wal.RecOCTCommit, Payload: []byte("{")}, "decode WAL commit"},
+		{"commit-version-zero", wal.Record{Type: wal.RecOCTCommit,
+			Payload: []byte(`{"writes":[{"name":"/x","version":0,"type":"text","data":"x"}]}`)}, "has version 0"},
+		{"commit-unknown-type", wal.Record{Type: wal.RecOCTCommit,
+			Payload: []byte(`{"writes":[{"name":"/x","version":1,"type":"mystery","data":"x"}]}`)}, "no codec"},
+		{"commit-bad-data", wal.Record{Type: wal.RecOCTCommit,
+			Payload: []byte(`{"writes":[{"name":"/x","version":1,"type":"text","data":7}]}`)}, "unmarshal WAL write"},
+		{"reclaim-not-json", wal.Record{Type: wal.RecReclaim, Payload: []byte("[")}, "decode WAL reclaim"},
+		{"checkpoint-not-json", wal.Record{Type: wal.RecCheckpoint, Payload: []byte("x")}, "decode WAL checkpoint"},
+		{"checkpoint-other-history", wal.Record{Type: wal.RecCheckpoint,
+			Payload: []byte(`{"clock":0,"fingerprint":"00"}`)}, "fingerprint mismatch"},
+		{"checkpoint-clock-ahead", wal.Record{Type: wal.RecCheckpoint,
+			Payload: []byte(fmt.Sprintf(`{"clock":99,"fingerprint":%q}`, empty))}, "ahead of recovered clock"},
+		{"foreign-record", wal.Record{Type: wal.RecordType(200), Payload: []byte("anything")}, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewStore()
+			applied, err := s.ReplayWALRecord(tc.rec)
+			if tc.wantErr == "" {
+				if err != nil || applied {
+					t.Fatalf("ReplayWALRecord = %v, %v; want skipped", applied, err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("ReplayWALRecord error = %v, want one containing %q", err, tc.wantErr)
+			}
+			if s.ObjectCount() != 0 {
+				t.Errorf("rejected record left %d objects behind", s.ObjectCount())
+			}
+		})
+	}
+}

@@ -1,155 +1,140 @@
 package oct
 
-// The version index abstraction (docs/STORAGE.md). Each lock stripe of
-// the store owns one VersionIndex: the data structure that maps
-// (name, version) pairs to object versions. The original implementation —
-// a Go map from name to a version slice — is the reference backend;
-// production-scale stores can select a B+tree (tuned for version-chain
-// range scans and ordered snapshot iteration) or an LSM (memtable plus
-// sorted runs with compaction, tuned for append-heavy write streams).
+// mapIndex is one lock stripe's version index (docs/STORAGE.md): it maps
+// (name, version) pairs to the object versions of the names that hash to
+// the stripe. A hash map keys each name to its dense version slice; slot
+// i holds version i+1. Point operations are O(1); iteration order is Go
+// map order, i.e. deliberately unspecified (the store sorts globally
+// where order matters, so the unordered walk is free).
 //
-// The contract every backend must satisfy, byte-for-byte:
+// The slot and hole contract the store relies on:
 //
 //   - Versions are 1-based slots. Put places an object at its explicit
-//     slot; the store assigns new version numbers as ChainLen(name)+1.
-//   - Physical deletion leaves a hole: the slot stays part of the chain
-//     (ChainLen does not shrink), so later version numbers never reuse a
-//     removed slot and existing references stay unambiguous (§3.2).
+//     slot; Append assigns ChainLen(name)+1.
+//   - Physical deletion leaves a hole: the slot is nilled out but stays
+//     part of the chain (ChainLen does not shrink), so later version
+//     numbers never reuse a removed slot and existing references stay
+//     unambiguous (§3.2).
 //   - Iteration (Scan, Range) visits live versions only, never holes.
-//   - Implementations are NOT required to be safe for concurrent use:
-//     the stripe lock serializes every call.
-//
-// The differential property test (backend_property_test.go) drives
-// seeded random operation histories through all three backends
-// simultaneously and asserts identical results and identical
-// VersionMapText at every step; the E16 experiment benchmarks them
-// head-to-head under read-heavy and write-heavy workload profiles with
-// the same fingerprint gates E11/E12 use.
+//   - The index is NOT safe for concurrent use: the stripe lock
+//     serializes every call.
+type mapIndex struct {
+	objects map[string][]*Object
+	live    int
+}
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+func newMapIndex() *mapIndex {
+	return &mapIndex{objects: make(map[string][]*Object)}
+}
 
-// Backend names a version-index implementation.
-type Backend string
-
-// The shipped version-index backends.
-const (
-	// BackendMap is the reference backend: a hash map from object name
-	// to a dense version slice. O(1) point lookups, unordered iteration.
-	BackendMap Backend = "map"
-	// BackendBTree is a B+tree over (name, version) composite keys with
-	// linked leaves: ordered iteration and version-chain range scans are
-	// sequential leaf walks. Checkpoints persist the leaf level as pages.
-	BackendBTree Backend = "btree"
-	// BackendLSM is a log-structured merge index: an unsorted memtable
-	// absorbs writes and flushes into sorted runs that background
-	// compaction merges. Checkpoints persist one fully compacted run.
-	BackendLSM Backend = "lsm"
-)
-
-// DefaultBackend is the backend NewStore selects.
-const DefaultBackend = BackendMap
-
-// Backends returns every selectable backend, map (the reference) first.
-func Backends() []Backend { return []Backend{BackendMap, BackendBTree, BackendLSM} }
-
-// ParseBackend validates a backend name; the empty string selects the
-// default. CLI -backend flags and core.Config.StoreBackend route here.
-func ParseBackend(s string) (Backend, error) {
-	switch Backend(strings.ToLower(strings.TrimSpace(s))) {
-	case "":
-		return DefaultBackend, nil
-	case BackendMap:
-		return BackendMap, nil
-	case BackendBTree:
-		return BackendBTree, nil
-	case BackendLSM:
-		return BackendLSM, nil
+// Put places obj at slot (obj.Name, obj.Version), extending the chain
+// with holes as needed. Putting into an occupied slot replaces the
+// occupant (recovery paths guard against that before calling).
+func (ix *mapIndex) Put(obj *Object) {
+	versions := ix.objects[obj.Name]
+	for len(versions) < obj.Version {
+		versions = append(versions, nil)
 	}
-	return "", fmt.Errorf("oct: unknown version-index backend %q (want map|btree|lsm)", s)
-}
-
-// VersionIndex indexes the versions of the object names that hash to one
-// lock stripe. See the package comment above for the slot/hole contract;
-// callers hold the stripe lock, so implementations need no locking of
-// their own.
-type VersionIndex interface {
-	// Put places obj at slot (obj.Name, obj.Version), extending the
-	// chain as needed. Putting into an occupied slot replaces the
-	// occupant (recovery paths guard against that before calling).
-	Put(obj *Object)
-	// Append assigns obj the next version number — ChainLen(obj.Name)+1 —
-	// stores it there, and returns the number: the store's
-	// version-assignment hot path fused into one operation.
-	Append(obj *Object) int
-	// Get returns the object at (name, version), or nil when the slot
-	// is a hole or beyond the chain.
-	Get(name string, version int) *Object
-	// Delete physically removes the slot's object, leaving a hole, and
-	// returns what it removed (nil when the slot was already empty).
-	Delete(name string, version int) *Object
-	// ChainLen returns the highest slot ever occupied for name — holes
-	// included — or 0 when the name has never had a version. The store
-	// assigns version numbers as ChainLen+1.
-	ChainLen(name string) int
-	// Latest returns the live version with the highest slot, or nil.
-	Latest(name string) *Object
-	// LatestVisible returns the visible live version with the highest
-	// slot, or nil — the resolution of a version-0 Ref (§3.2).
-	LatestVisible(name string) *Object
-	// Scan calls fn for each live version of name with lo <= version <=
-	// hi in ascending version order (hi <= 0 means unbounded); fn
-	// returning false stops the scan. This is the version-chain range
-	// scan the history and lineage queries lean on.
-	Scan(name string, lo, hi int, fn func(*Object) bool)
-	// Range calls fn for every live version in the index — the snapshot
-	// iteration. Visit order is backend-specific (the map backend is
-	// unordered); callers needing global order sort, exactly as the
-	// cross-stripe renderings always have. fn returning false stops.
-	Range(fn func(*Object) bool)
-	// Len returns the number of live versions in the index.
-	Len() int
-}
-
-// pagedIndex is the optional interface of backends with a paged on-disk
-// layout: the checkpointed-page half of the durability story (snapshot =
-// checkpointed pages, WAL = delta; docs/STORAGE.md). appendPages encodes
-// the index's live content as self-verifying fixed-size pages.
-type pagedIndex interface {
-	VersionIndex
-	appendPages(dst []byte) ([]byte, error)
-}
-
-// newIndex constructs one stripe's index for the backend. Callers have
-// validated the backend (ParseBackend or the exported constructors).
-func newIndex(b Backend) VersionIndex {
-	switch b {
-	case BackendBTree:
-		return newBTreeIndex()
-	case BackendLSM:
-		return newLSMIndex()
-	default:
-		return newMapIndex()
+	if versions[obj.Version-1] == nil {
+		ix.live++
 	}
+	versions[obj.Version-1] = obj
+	ix.objects[obj.Name] = versions
 }
 
-// sortedIndexEntries returns the index's live versions in ascending
-// (name, version) order — the canonical page-emission order shared by
-// the paged backends' checkpoints.
-func sortedIndexEntries(ix VersionIndex) []*Object {
-	out := make([]*Object, 0, ix.Len())
-	ix.Range(func(o *Object) bool {
-		out = append(out, o)
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
+// Append assigns obj the next version number — ChainLen(obj.Name)+1 —
+// stores it there, and returns the number.
+func (ix *mapIndex) Append(obj *Object) int {
+	versions := ix.objects[obj.Name]
+	obj.Version = len(versions) + 1
+	ix.objects[obj.Name] = append(versions, obj)
+	ix.live++
+	return obj.Version
+}
+
+// Get returns the object at (name, version), or nil when the slot is a
+// hole or beyond the chain.
+func (ix *mapIndex) Get(name string, version int) *Object {
+	versions := ix.objects[name]
+	if version < 1 || version > len(versions) {
+		return nil
+	}
+	return versions[version-1]
+}
+
+// Delete physically removes the slot's object, leaving a hole, and
+// returns what it removed (nil when the slot was already empty).
+func (ix *mapIndex) Delete(name string, version int) *Object {
+	versions := ix.objects[name]
+	if version < 1 || version > len(versions) || versions[version-1] == nil {
+		return nil
+	}
+	obj := versions[version-1]
+	versions[version-1] = nil
+	ix.live--
+	return obj
+}
+
+// ChainLen returns the highest slot ever occupied for name — holes
+// included — or 0 when the name has never had a version.
+func (ix *mapIndex) ChainLen(name string) int { return len(ix.objects[name]) }
+
+// Latest returns the live version with the highest slot, or nil.
+func (ix *mapIndex) Latest(name string) *Object {
+	versions := ix.objects[name]
+	for i := len(versions) - 1; i >= 0; i-- {
+		if versions[i] != nil {
+			return versions[i]
 		}
-		return out[i].Version < out[j].Version
-	})
-	return out
+	}
+	return nil
 }
+
+// LatestVisible returns the visible live version with the highest slot,
+// or nil — the resolution of a version-0 Ref (§3.2).
+func (ix *mapIndex) LatestVisible(name string) *Object {
+	versions := ix.objects[name]
+	for i := len(versions) - 1; i >= 0; i-- {
+		if versions[i] != nil && versions[i].visible {
+			return versions[i]
+		}
+	}
+	return nil
+}
+
+// Scan calls fn for each live version of name with lo <= version <= hi
+// in ascending version order (hi <= 0 means unbounded); fn returning
+// false stops the scan.
+func (ix *mapIndex) Scan(name string, lo, hi int, fn func(*Object) bool) {
+	versions := ix.objects[name]
+	if lo < 1 {
+		lo = 1
+	}
+	if hi <= 0 || hi > len(versions) {
+		hi = len(versions)
+	}
+	for v := lo; v <= hi; v++ {
+		if obj := versions[v-1]; obj != nil {
+			if !fn(obj) {
+				return
+			}
+		}
+	}
+}
+
+// Range calls fn for every live version in the index, in unspecified
+// order; fn returning false stops.
+func (ix *mapIndex) Range(fn func(*Object) bool) {
+	for _, versions := range ix.objects {
+		for _, obj := range versions {
+			if obj != nil {
+				if !fn(obj) {
+					return
+				}
+			}
+		}
+	}
+}
+
+// Len returns the number of live versions in the index.
+func (ix *mapIndex) Len() int { return ix.live }

@@ -128,12 +128,11 @@ func (r Ref) String() string {
 const DefaultStripes = 64
 
 // stripe is one lock-striped bucket of the object database. The index
-// maps (name, version) to object versions; its implementation is the
-// store's selectable backend (index.go), and the stripe lock serializes
-// every index call.
+// maps (name, version) to object versions (index.go), and the stripe
+// lock serializes every index call.
 type stripe struct {
 	mu    sync.RWMutex
-	index VersionIndex
+	index *mapIndex
 }
 
 // Store is a versioned design object database. It is safe for concurrent
@@ -142,7 +141,6 @@ type stripe struct {
 type Store struct {
 	stripes []stripe
 	mask    uint32
-	backend Backend
 	clock   atomic.Int64
 	bytes   atomic.Int64
 	// written accumulates every payload byte ever stored (reclaim.go);
@@ -190,40 +188,15 @@ func (s *Store) vt() int64 {
 	return s.clock.Load()
 }
 
-// Options configures a store beyond the defaults.
-type Options struct {
-	// Stripes is the lock-stripe count, rounded up to a power of two;
-	// 0 means DefaultStripes.
-	Stripes int
-	// Backend selects the version-index implementation per stripe;
-	// empty means DefaultBackend. See index.go for the choices.
-	Backend Backend
-}
-
-// NewStore returns an empty store with DefaultStripes lock stripes and
-// the default (map) version-index backend.
+// NewStore returns an empty store with DefaultStripes lock stripes.
 func NewStore() *Store { return NewStoreWithStripes(DefaultStripes) }
 
-// NewStoreWithStripes returns an empty map-backend store with the given
-// stripe count, rounded up to a power of two. A 1-stripe store behaves
-// exactly like the historical single-lock store; the equivalence
-// property test replays transaction histories through both.
+// NewStoreWithStripes returns an empty store with the given stripe
+// count, rounded up to a power of two; n <= 0 selects DefaultStripes. A
+// 1-stripe store behaves exactly like the historical single-lock store;
+// the equivalence property test replays transaction histories through
+// both.
 func NewStoreWithStripes(n int) *Store {
-	s, err := NewStoreWithOptions(Options{Stripes: n})
-	if err != nil {
-		panic(err) // unreachable: the zero backend is valid
-	}
-	return s
-}
-
-// NewStoreWithOptions returns an empty store configured by opts,
-// erroring on an unknown backend name.
-func NewStoreWithOptions(opts Options) (*Store, error) {
-	backend, err := ParseBackend(string(opts.Backend))
-	if err != nil {
-		return nil, err
-	}
-	n := opts.Stripes
 	if n <= 0 {
 		n = DefaultStripes
 	}
@@ -231,18 +204,15 @@ func NewStoreWithOptions(opts Options) (*Store, error) {
 	for size < n {
 		size <<= 1
 	}
-	s := &Store{stripes: make([]stripe, size), mask: uint32(size - 1), backend: backend}
+	s := &Store{stripes: make([]stripe, size), mask: uint32(size - 1)}
 	for i := range s.stripes {
-		s.stripes[i].index = newIndex(backend)
+		s.stripes[i].index = newMapIndex()
 	}
-	return s, nil
+	return s
 }
 
 // StripeCount returns the number of lock stripes.
 func (s *Store) StripeCount() int { return len(s.stripes) }
-
-// Backend returns the version-index backend the store was built with.
-func (s *Store) Backend() Backend { return s.backend }
 
 // StripeContention returns how many write-lock acquisitions found their
 // stripe already held. Deliberately not a registry metric: the value
@@ -404,8 +374,7 @@ func (s *Store) Versions(name string) []*Object {
 
 // Chain returns the live versions of name with lo <= version <= hi in
 // ascending order; hi <= 0 means unbounded. This is the version-chain
-// range scan the history and lineage queries use — on the ordered
-// backends it is a single index descent plus a sequential walk.
+// range scan the history and lineage queries use.
 func (s *Store) Chain(name string, lo, hi int) []*Object {
 	st := s.stripeFor(name)
 	st.mu.RLock()

@@ -91,18 +91,13 @@ type snapshot struct {
 	Objects []snapshotObject `json:"objects"`
 }
 
-// Snapshot writes the full store state. The map backend emits the JSON
-// document, ordered by name so the output is independent of stripe
-// layout; the paged backends emit their page-formatted checkpoint
-// (page.go) — a meta page followed by each stripe's index pages.
+// Snapshot writes the full store state as one JSON document, ordered by
+// name then version so the output is independent of stripe layout.
 // Payload types without a registered codec cause an error rather than
 // silent data loss. Snapshot locks stripes one at a time; take it at a
 // quiescent point if a consistent cross-stripe cut is required (the
 // shell and reclaimer both do).
 func (s *Store) Snapshot(w io.Writer) error {
-	if _, paged := backendPageKind(s.backend); paged {
-		return s.snapshotPaged(w)
-	}
 	snap := snapshot{Clock: s.clock.Load()}
 	for i := range s.stripes {
 		st := &s.stripes[i]
@@ -141,105 +136,67 @@ func (s *Store) Snapshot(w io.Writer) error {
 	return enc.Encode(&snap)
 }
 
-// snapshotPaged writes the paged checkpoint. Page 0 is reserved up
-// front and patched with the meta page last, once the entry total is
-// known; sequence numbers stay position-derived throughout.
-func (s *Store) snapshotPaged(w io.Writer) error {
-	buf := make([]byte, pageSize)
-	entries := 0
-	for i := range s.stripes {
-		st := &s.stripes[i]
-		st.mu.RLock()
-		pg, err := st.index.(pagedIndex).appendPages(buf)
-		if err == nil {
-			entries += st.index.Len()
-		}
-		st.mu.RUnlock()
-		if err != nil {
-			return err
-		}
-		buf = pg
-	}
-	copy(buf, appendMetaPage(nil, s.backend, s.clock.Load(), entries))
-	_, err := w.Write(buf)
-	return err
-}
+// maxRestoreVersion bounds the version numbers Restore accepts: a slot
+// number is a chain position, and the index materializes every slot
+// below it, so an absurd one would be an allocation bomb, not data.
+const maxRestoreVersion int64 = 1 << 31
 
-// Restore loads a snapshot into an empty store, sniffing JSON vs paged
-// bytes — a store of any backend restores a snapshot written by any
-// other, which keeps core session persistence and recovery
-// backend-agnostic.
+// Restore loads a snapshot into an empty store. Every entry must name a
+// version in [1, 1<<31], and no (name, version) pair may appear twice:
+// a duplicate would silently replace its twin while both counted
+// toward the byte gauges. A rejected snapshot returns an error and may
+// leave the store partially loaded.
 func (s *Store) Restore(r io.Reader) error {
 	raw, err := io.ReadAll(r)
 	if err != nil {
 		return fmt.Errorf("oct: read snapshot: %w", err)
 	}
-	if isPagedSnapshot(raw) {
-		return s.restorePaged(raw)
-	}
 	var snap snapshot
 	if err := json.Unmarshal(raw, &snap); err != nil {
 		return fmt.Errorf("oct: decode snapshot: %w", err)
 	}
-	if err := s.beginRestore(snap.Clock); err != nil {
-		return err
-	}
-	for _, so := range snap.Objects {
-		if err := s.restoreObject(so.Name, so.Version, so.Type, so.Creator, so.Stamp, so.LastAccess, so.Visible, so.Data); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// restorePaged loads a verified paged checkpoint.
-func (s *Store) restorePaged(data []byte) error {
-	snap, err := decodePagedSnapshot(data)
-	if err != nil {
-		return err
-	}
-	if err := s.beginRestore(snap.Clock); err != nil {
-		return err
-	}
-	for _, e := range snap.Entries {
-		if err := s.restoreObject(e.Name, e.Version, e.Type, e.Creator, e.Stamp, e.LastAccess, e.Visible, e.Data); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// beginRestore checks the store is empty and resets accounting. An
-// empty store can still carry accounting drift — contention from
-// earlier traffic always, and a stale bytes gauge if every version was
-// individually removed — so both reset to reflect exactly the snapshot.
-func (s *Store) beginRestore(clock int64) error {
 	if s.ObjectCount() != 0 {
 		return fmt.Errorf("oct: Restore requires an empty store")
 	}
+	// An empty store can still carry accounting drift — contention from
+	// earlier traffic always, and a stale bytes gauge if every version
+	// was individually removed — so both reset to reflect exactly the
+	// snapshot.
 	s.bytes.Store(0)
 	s.contention.Store(0)
-	s.clock.Store(clock)
+	s.clock.Store(snap.Clock)
+	for _, so := range snap.Objects {
+		if err := s.restoreObject(so); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
-// restoreObject decodes one snapshot entry through its codec and places
-// it at its recorded slot.
-func (s *Store) restoreObject(name string, version int, typ Type, creator string, stamp, lastAccess int64, visible bool, raw []byte) error {
-	c, ok := codecFor(typ)
+// restoreObject validates one snapshot entry, decodes it through its
+// codec and places it at its recorded slot.
+func (s *Store) restoreObject(so snapshotObject) error {
+	if so.Version < 1 || int64(so.Version) > maxRestoreVersion {
+		return fmt.Errorf("oct: snapshot entry %s@%d: version out of range [1, %d]", so.Name, so.Version, maxRestoreVersion)
+	}
+	c, ok := codecFor(so.Type)
 	if !ok {
-		return fmt.Errorf("oct: no codec registered for type %q (object %s@%d)", typ, name, version)
+		return fmt.Errorf("oct: no codec registered for type %q (object %s@%d)", so.Type, so.Name, so.Version)
 	}
-	data, err := c.Unmarshal(raw)
+	data, err := c.Unmarshal(so.Data)
 	if err != nil {
-		return fmt.Errorf("oct: unmarshal %s@%d: %w", name, version, err)
+		return fmt.Errorf("oct: unmarshal %s@%d: %w", so.Name, so.Version, err)
 	}
-	st := s.stripeFor(name)
+	st := s.stripeFor(so.Name)
 	s.lock(st)
+	if st.index.Get(so.Name, so.Version) != nil {
+		st.mu.Unlock()
+		return fmt.Errorf("oct: snapshot entry %s@%d appears twice", so.Name, so.Version)
+	}
 	st.index.Put(&Object{
-		Name: name, Version: version, Type: typ, Data: data,
-		Creator: creator, Stamp: stamp, visible: visible,
-		lastAccess: lastAccess,
+		Name: so.Name, Version: so.Version, Type: so.Type, Data: data,
+		Creator: so.Creator, Stamp: so.Stamp, visible: so.Visible,
+		lastAccess: so.LastAccess,
 	})
 	st.mu.Unlock()
 	s.bytes.Add(int64(data.Size()))

@@ -59,8 +59,9 @@ type Config struct {
 	// Workers sizes each session's task-manager worker pool
 	// (core.Config.Workers).
 	Workers int
-	// StoreBackend selects each shard's object-store version-index
-	// backend (core.Config.StoreBackend): "map", "btree", or "lsm".
+	// StoreBackend is passed to core.Config.StoreBackend, which accepts
+	// only "" or "map". It survives only because the perfbench harness
+	// still sets it, and goes once that benchmark can change.
 	StoreBackend string
 	// ExtraTemplates overlays TDL templates on every shard.
 	ExtraTemplates map[string]string

@@ -4,9 +4,9 @@
 # bytes ratio must stay at or under the ceiling recorded in
 # scripts/reclaim_floor.txt. The soak itself hard-gates determinism —
 # repeat-run identity, the sweep-on/off modulo-reclaimed version map,
-# and full-log crash recovery across every store backend — and
-# soft-gates the ratio ceiling plus first-half-peak vs second-half-peak
-# non-growth (docs/RECLAIM.md, EXPERIMENTS.md E17).
+# and full-log crash recovery — and soft-gates the ratio ceiling plus
+# first-half-peak vs second-half-peak non-growth (docs/RECLAIM.md,
+# EXPERIMENTS.md E17).
 #
 # CI fails when the ratio regresses; when reclamation gets tighter, run
 # `scripts/reclaimgate.sh -record` and commit the lowered ceiling.
