@@ -1,35 +1,26 @@
-.PHONY: check coverage perfgate reclaimgate profile lint vet build test fmt
+.PHONY: check coverage profile lint vet build test fmt
 
 # The repository gate: exactly what CI runs (scripts/check.sh), stdlib
 # toolchain only. Keep this the single local gate.
 check:
 	./scripts/check.sh
 
-# Coverage ratchet against scripts/coverage_floor.txt; raise the floor
-# with `./scripts/coverage.sh -record` when coverage improves.
-coverage:
-	./scripts/coverage.sh
+# The ratchets: `make gate-<run>` (e.g. gate-scale-perf, gate-reclaim)
+# runs one named benchtool run through scripts/gates.sh, which checks
+# that run's lines of scripts/gates.txt. Tighten a ratchet when the
+# measurement improves with `./scripts/gates.sh <run> -record` and
+# commit scripts/gates.txt.
+gate-%:
+	./scripts/gates.sh $*
 
-# Perf ratchet against scripts/perf_floor.txt (E11 speedup floor and
-# allocs/step ceiling); re-record the ceiling with
-# `./scripts/perfgate.sh -record` when the hot path gets cheaper.
-perfgate:
-	./scripts/perfgate.sh
+coverage: gate-coverage
 
-# Bounded-memory ratchet against scripts/reclaim_floor.txt (the E17
-# reclaim soak's live/written ratio ceiling); re-record with
-# `./scripts/reclaimgate.sh -record` when reclamation gets tighter.
-reclaimgate:
-	./scripts/reclaimgate.sh
-
-# Local profiling bundle in perf/: pprof CPU + heap profiles and the
-# alloc-annotated E11 scale table, plus the hot-path microbenchmarks.
-# Inspect with `go tool pprof perf/cpu.pprof`.
+# Local profiling bundle: pprof CPU + heap profiles in perf/ and the
+# gated scale-perf table (BENCH_scale-perf.json, with allocs/step), plus
+# the hot-path microbenchmarks. Inspect with `go tool pprof perf/cpu.pprof`.
 profile:
 	mkdir -p perf
-	go run ./cmd/benchtool -exp scale -scalesessions 16 -scaleworkers 1,4,8 \
-		-benchmem -cpuprofile perf/cpu.pprof -memprofile perf/mem.pprof \
-		-scaleout perf/scale.json
+	./scripts/gates.sh scale-perf -cpuprofile perf/cpu.pprof -memprofile perf/mem.pprof
 	go test -run - -bench . -benchmem . ./internal/oct ./internal/memo ./internal/wal \
 		| tee perf/microbench.txt
 

@@ -1,30 +1,34 @@
-// benchtool regenerates the quantitative experiment tables recorded in
-// EXPERIMENTS.md. All numbers are deterministic: workloads are seeded and
-// execution time is the simulated cluster's virtual clock, so the tables
-// reproduce bit-for-bit across runs and machines.
+// benchtool runs the experiments recorded in EXPERIMENTS.md, each under
+// a fixed, named run.
 //
-// Usage: benchtool [-exp all|speedup|remigration|scopecache|storage|rework|viewport|inference|abort|rebuild|faults|scale|replay|serve|workload|reclaim]
+// Usage: benchtool [-exp all|<run>] [-record] [-stats] [-trace file] [-faults plan] [-cpuprofile file] [-memprofile file]
 //
-// The scale (E11), serve (E13), workload (E15) and reclaim (E17)
-// experiments are the exceptions to pure virtual-time measurement: scale
-// reports wall-clock throughput of the concurrent engine (steps/sec vs
-// worker count at N sessions), serve reports wire latency and throughput
-// of the papyrusd front-end under concurrent designer sessions, workload
-// drives every generated scenario profile through both paths, and
-// reclaim soaks deep rework under incremental reclamation, so none is
-// part of -exp all. Their correctness columns — the stats and version-map
-// fingerprints — are still bit-reproducible.
+// The qualitative runs (E1–E10: speedup, remigration, scopecache,
+// storage, rework, viewport, inference, abort, rebuild, faults) print
+// tables measured on the simulated cluster's virtual clock, so they
+// reproduce bit-for-bit across runs and machines. Every other run emits
+// rows of one schema, {cell, metric, value, unit}: they are written to
+// BENCH_<run>.json under a header naming the run, host, Go version and
+// commit, printed as a table, and appended to $GITHUB_STEP_SUMMARY when
+// that is set. The bounds scripts/gates.txt sets for the run are then
+// checked against its rows; a failed bound makes benchtool exit 1 after
+// every output is written. Wall-clock and allocation metrics depend on
+// the host; the fingerprint rows (stats_sha256, version_sha256,
+// visible_sha256) are bit-reproducible. -exp all runs E1–E10 and replay.
 package main
 
 import (
 	"crypto/sha256"
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"log"
 	"os"
+	"os/exec"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -64,40 +68,7 @@ var (
 	// benchFaults optionally replaces the last fault plan of the recovery
 	// experiment (the -faults flag).
 	benchFaults string
-	// benchMem turns on per-cell allocation accounting (-benchmem):
-	// runtime.MemStats deltas around each scale cell, reported as
-	// allocs/step and bytes/step columns.
-	benchMem bool
-	// summaryPath is the -summary file: experiments append GitHub-flavored
-	// markdown tables to it (CI points this at $GITHUB_STEP_SUMMARY).
-	summaryPath string
-	// benchGateErrs collects threshold-gate violations. Gates record here
-	// via gateFail instead of exiting on the spot so the deferred profile,
-	// trace and summary writers flush first; main exits non-zero at the
-	// very end if any gate tripped. Correctness failures (fingerprint
-	// divergence, lost steps) still log.Fatal immediately — a wrong answer
-	// has no profile worth keeping.
-	benchGateErrs []string
 )
-
-// gateFail records a perf-gate violation and keeps going.
-func gateFail(format string, args ...any) {
-	msg := fmt.Sprintf(format, args...)
-	log.Print(msg)
-	benchGateErrs = append(benchGateErrs, msg)
-}
-
-// appendSummary appends one markdown section to the -summary file.
-func appendSummary(section string) {
-	if summaryPath == "" {
-		return
-	}
-	f, err := os.OpenFile(summaryPath, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
-	must(err)
-	_, err = f.WriteString(section)
-	must(err)
-	must(f.Close())
-}
 
 // measureVT records a system's final virtual clock under
 // bench.<name>.ticks and returns it — the single timing path for
@@ -107,123 +78,95 @@ func measureVT(name string, now int64) int64 {
 	return now
 }
 
-// flagOrder is the order -h prints flags in: general switches first, then
-// one block per experiment that takes flags (scale/E11, replay/E12,
-// serve/E13). The stock alphabetical listing interleaved the blocks and
-// stranded -memo between the replay switches.
-var flagOrder = []string{
-	"exp", "stats", "trace", "faults",
-	"cpuprofile", "memprofile", "benchmem", "summary",
-	"scalesessions", "scaleworkers", "scalelatency", "scalemin",
-	"scaleregress", "allocmax",
-	"scaleout", "scalewal", "scalefsync", "memo",
-	"replayworkers", "replaymin", "replayout",
-	"servesessions", "serveshards", "serveworkers", "servetenants",
-	"serverate", "serveburst", "servequeue", "servemin", "servep99",
-	"serveout",
-	"wlprofiles", "wlseed", "wlsessions", "wldepth", "wlfanout",
-	"wlworkers", "wlmin", "wlout",
-	"rcseed", "rcsessions", "rcdepth", "rcfanout",
-	"rcworkers", "rcsweep", "rcbudget", "rcgrowth", "rcmaxratio", "rcout",
+// table adapts a qualitative experiment, which prints and emits no rows.
+func table(f func()) func() []Row {
+	return func() []Row { f(); return nil }
 }
 
-// usage replaces the default flag.Usage: same per-flag format, but in
-// flagOrder instead of alphabetically. Flags missing from flagOrder are
-// appended at the end so nothing ever drops out of -h.
-func usage() {
-	w := flag.CommandLine.Output()
-	fmt.Fprintln(w, "usage: benchtool [-exp all|speedup|remigration|scopecache|storage|rework|viewport|inference|abort|rebuild|faults|scale|replay|serve|workload|reclaim] [flags]")
-	fmt.Fprintln(w, "\nflags:")
-	seen := make(map[string]bool, len(flagOrder))
-	order := flagOrder
-	for _, n := range order {
-		seen[n] = true
-	}
-	flag.VisitAll(func(f *flag.Flag) {
-		if !seen[f.Name] {
-			order = append(order, f.Name)
-		}
-	})
-	for _, name := range order {
-		f := flag.Lookup(name)
-		if f == nil {
-			continue
-		}
-		u := f.Usage
-		if f.DefValue != "" && f.DefValue != "false" && f.DefValue != "0" {
-			u += " (default " + f.DefValue + ")"
-		}
-		fmt.Fprintf(w, "  -%s\n    \t%s\n", f.Name, u)
-	}
+// runs is every run -exp accepts. Each fixes its experiment's cells as
+// constants; scripts/gates.txt bounds metrics of these runs by name.
+var runs = []run{
+	{"speedup", nil, table(expSpeedup)},
+	{"remigration", nil, table(expReMigration)},
+	{"scopecache", nil, table(expScopeCache)},
+	{"storage", nil, table(expStorage)},
+	{"rework", nil, table(expRework)},
+	{"viewport", nil, table(expViewport)},
+	{"inference", nil, table(expInference)},
+	{"abort", nil, table(expAbort)},
+	{"rebuild", nil, table(expRebuild)},
+	{"faults", nil, table(expFaults)},
+	{"scale", scaleExp, scaleConfig{sessions: []int{1, 8, 64}, workers: []int{1, 2, 4, 8}, latency: 2 * time.Millisecond}.drive},
+	{"scale-perf", scaleExp, scaleConfig{sessions: []int{16}, workers: []int{1, 4, 8}, latency: 2 * time.Millisecond}.drive},
+	{"scale-wal", scaleExp, scaleConfig{sessions: []int{16}, workers: []int{1, 8}, latency: 2 * time.Millisecond, fsyncEvery: 50}.drive},
+	{"scale-memo", scaleExp, scaleConfig{sessions: []int{16}, workers: []int{1, 8}, latency: 2 * time.Millisecond, memo: true}.drive},
+	{"scale-1session", scaleExp, scaleConfig{sessions: []int{1}, workers: []int{1, 4, 8}, latency: 10 * time.Millisecond}.drive},
+	{"replay", replayExp, expReplay},
+	{"serve", serveExp, serveConfig{sessions: 256}.drive},
+	{"serve-throttled", serveExp, serveConfig{sessions: 64, rate: 2, burst: 2}.drive},
+	{"workload", workloadExp, workloadConfig{profiles: workload.Profiles()}.drive},
+	{"reclaim", reclaimExp, reclaimConfig{depth: 128}.drive},
+	{"reclaim-deep", reclaimExp, reclaimConfig{depth: 256}.drive},
+	{"coverage", coverageExp, coverage},
 }
 
-func main() {
-	exp := flag.String("exp", "all", "experiment to run")
+// allRuns is what -exp all runs: the deterministic tables.
+var allRuns = []string{"speedup", "remigration", "scopecache", "storage", "rework", "viewport", "inference", "abort", "rebuild", "faults", "replay"}
+
+func lookupRun(name string) (run, bool) {
+	i := slices.IndexFunc(runs, func(r run) bool { return r.name == name })
+	if i < 0 {
+		return run{}, false
+	}
+	return runs[i], true
+}
+
+// gatesPath is read from the working directory: run benchtool from the
+// repository root, as scripts/gates.sh does.
+const gatesPath = "scripts/gates.txt"
+
+func main() { os.Exit(benchMain()) }
+
+func benchMain() int {
+	exp := flag.String("exp", "all", "run to execute: all (E1–E10 and replay) or one run name")
 	stats := flag.Bool("stats", false, "print the aggregated metrics registry after the experiments")
 	tracePath := flag.String("trace", "", "write a Chrome trace_event JSON file covering all runs")
 	faults := flag.String("faults", "", "extra fault plan for the recovery experiment, e.g. seed=3,crash=2@60-500 (docs/FAULTS.md)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile (post-GC) to this file at exit")
-	flag.BoolVar(&benchMem, "benchmem", false, "measure allocations per scale cell (allocs/step, bytes/step columns)")
-	flag.StringVar(&summaryPath, "summary", "", "append markdown result tables to this file (CI: $GITHUB_STEP_SUMMARY)")
-	flag.StringVar(&scaleSessions, "scalesessions", "1,8,64", "comma-separated session counts for -exp scale")
-	flag.StringVar(&scaleWorkers, "scaleworkers", "1,2,4,8", "comma-separated worker counts for -exp scale")
-	flag.DurationVar(&scaleLatency, "scalelatency", 2*time.Millisecond, "injected wall-clock latency per tool body for -exp scale")
-	flag.Float64Var(&scaleMin, "scalemin", 0, "fail (exit 1) if max-worker throughput is below this multiple of the 1-worker run at the largest session count")
-	flag.Float64Var(&scaleRegress, "scaleregress", 0, "fail (exit 1) if any session count's max-worker throughput drops below this multiple of its best lower-worker cell (monotonicity gate)")
-	flag.Float64Var(&scaleAllocMax, "allocmax", 0, "fail (exit 1) if the largest scale cell allocates more than this many heap objects per step (implies -benchmem)")
-	flag.StringVar(&scaleOut, "scaleout", "BENCH_scale.json", "output file for the -exp scale table")
-	flag.BoolVar(&scaleWAL, "scalewal", false, "run -exp scale with write-ahead logging enabled (fresh log dir per cell); fingerprints must still match")
-	flag.Int64Var(&scaleFsync, "scalefsync", 1, "group-commit flush interval for -scalewal (<=1 fsyncs every append)")
-	flag.BoolVar(&scaleMemo, "memo", false, "run -exp scale with the step-result cache enabled (fresh cache per cell); fingerprints must still match")
-	flag.StringVar(&replayWorkers, "replayworkers", "1,8", "comma-separated worker counts for -exp replay")
-	flag.Float64Var(&replayMin, "replaymin", 0, "fail (exit 1) if the memo-on replay speedup at the largest worker count is below this")
-	flag.StringVar(&replayOut, "replayout", "BENCH_replay.json", "output file for the -exp replay table")
-	flag.IntVar(&serveSessions, "servesessions", 256, "concurrent designer sessions for -exp serve")
-	flag.IntVar(&serveShards, "serveshards", 4, "engine shards for -exp serve")
-	flag.IntVar(&serveWorkers, "serveworkers", 8, "admission worker pool for -exp serve")
-	flag.IntVar(&serveTenants, "servetenants", 16, "distinct tenants sessions are spread over for -exp serve")
-	flag.Float64Var(&serveRate, "serverate", 0, "per-tenant admission rate limit for -exp serve (0 = unlimited)")
-	flag.Float64Var(&serveBurst, "serveburst", 0, "per-tenant token-bucket burst for -exp serve (0 = max(1, rate))")
-	flag.IntVar(&serveQueue, "servequeue", 1024, "admission queue bound before load shedding for -exp serve")
-	flag.Float64Var(&serveMin, "servemin", 0, "fail (exit 1) if -exp serve sustains fewer steps/sec than this")
-	flag.Float64Var(&serveP99, "servep99", 0, "fail (exit 1) if -exp serve task-submission p99 exceeds this many ms")
-	flag.StringVar(&serveOut, "serveout", "BENCH_serve.json", "output file for the -exp serve table")
-	flag.StringVar(&wlProfiles, "wlprofiles", "all", "comma-separated workload profiles for -exp workload (all = every profile)")
-	flag.Int64Var(&wlSeed, "wlseed", 7, "workload generator seed for -exp workload")
-	flag.IntVar(&wlSessions, "wlsessions", 4, "designer sessions per profile for -exp workload")
-	flag.IntVar(&wlDepth, "wldepth", 6, "depth knob (rounds, chain length) for -exp workload")
-	flag.IntVar(&wlFanout, "wlfanout", 4, "fanout knob (burst width, fan arity) for -exp workload")
-	flag.StringVar(&wlWorkers, "wlworkers", "1,4", "comma-separated worker counts for -exp workload (fingerprints must be invariant)")
-	flag.Float64Var(&wlMin, "wlmin", 0, "fail (exit 1) if any profile's best in-process cell is below this many steps/sec")
-	flag.StringVar(&wlOut, "wlout", "BENCH_workload.json", "output file for the -exp workload table")
-	flag.Int64Var(&rcSeed, "rcseed", 7, "workload generator seed for -exp reclaim")
-	flag.IntVar(&rcSessions, "rcsessions", 4, "designer sessions for the -exp reclaim soak")
-	flag.IntVar(&rcDepth, "rcdepth", 64, "rework depth (rounds = depth/8) for -exp reclaim")
-	flag.IntVar(&rcFanout, "rcfanout", 4, "fanout knob for -exp reclaim")
-	flag.IntVar(&rcWorkers, "rcworkers", 4, "worker-pool size for -exp reclaim cells")
-	flag.IntVar(&rcSweep, "rcsweep", 1, "sweep at every Nth round barrier for -exp reclaim")
-	flag.IntVar(&rcBudget, "rcbudget", 0, "index records scanned per sweep slice for -exp reclaim (0 = whole store)")
-	flag.Float64Var(&rcGrowth, "rcgrowth", 0, "fail (exit 1) if the second-half peak live/written ratio exceeds the first-half peak by this factor (0 = off; needs -rcdepth >= 128)")
-	flag.Float64Var(&rcMaxRatio, "rcmaxratio", 0, "fail (exit 1) if the final live/written ratio exceeds this ceiling (0 = off)")
-	flag.StringVar(&rcOut, "rcout", "BENCH_reclaim.json", "output file for the -exp reclaim table")
-	flag.Usage = usage
+	record := flag.Bool("record", false, "once the run's gates pass, tighten its ratchet bounds in "+gatesPath+" to the measured value plus headroom")
 	flag.Parse()
 	benchFaults = *faults
-	if scaleAllocMax > 0 {
-		benchMem = true
-	}
 	if *tracePath != "" {
 		benchTracer = obs.NewTracer()
 	}
-	// Registered first so it runs LAST: every writer below (profiles,
-	// trace, stats, summaries) must flush before a tripped gate exits.
-	defer func() {
-		if len(benchGateErrs) > 0 {
-			log.Printf("benchtool: %d perf gate(s) failed", len(benchGateErrs))
-			os.Exit(1)
+
+	names := []string{*exp}
+	if *exp == "all" {
+		names = allRuns
+	}
+	var todo []run
+	for _, name := range names {
+		r, ok := lookupRun(name)
+		if !ok {
+			var known []string
+			for _, r := range runs {
+				known = append(known, r.name)
+			}
+			fmt.Fprintf(os.Stderr, "unknown run %q; runs: all %s\n", name, strings.Join(known, " "))
+			return 2
 		}
-	}()
+		todo = append(todo, r)
+	}
+	src, err := os.ReadFile(gatesPath)
+	if errors.Is(err, fs.ErrNotExist) && !*record {
+		fmt.Fprintf(os.Stderr, "benchtool: no %s in the working directory; no bounds checked\n", gatesPath)
+	} else {
+		must(err)
+	}
+	gates, err := parseGates(string(src))
+	must(err)
+
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		must(err)
@@ -257,36 +200,37 @@ func main() {
 			must(benchMetrics.WriteText(os.Stdout))
 		}
 	}()
-	run := map[string]func(){
-		"speedup":     expSpeedup,
-		"remigration": expReMigration,
-		"scopecache":  expScopeCache,
-		"storage":     expStorage,
-		"rework":      expRework,
-		"viewport":    expViewport,
-		"inference":   expInference,
-		"abort":       expAbort,
-		"rebuild":     expRebuild,
-		"faults":      expFaults,
-		"scale":       expScale,
-		"replay":      expReplay,
-		"serve":       expServe,
-		"workload":    expWorkload,
-		"reclaim":     expReclaim,
-	}
-	if *exp == "all" {
-		for _, name := range []string{"speedup", "remigration", "scopecache", "storage", "rework", "viewport", "inference", "abort", "rebuild", "faults", "replay"} {
-			run[name]()
+
+	failed := 0
+	for _, r := range todo {
+		rows := r.drive()
+		if r.exp != nil {
+			must(report(r, rows))
+			fails := checkGates(gates, r.name, rows)
+			for _, f := range fails {
+				fmt.Fprintln(os.Stderr, "gate failed:", f)
+			}
+			failed += len(fails)
+			if *record && len(fails) == 0 {
+				next, notes := recordGates(string(src), gates, r.name, rows)
+				if len(notes) > 0 {
+					must(os.WriteFile(gatesPath, []byte(next), 0o644))
+					src = []byte(next)
+				}
+				for _, n := range notes {
+					fmt.Println(n)
+				}
+			}
+		}
+		if *exp == "all" {
 			fmt.Println()
 		}
-		return
 	}
-	f, ok := run[*exp]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
-		os.Exit(2)
+	if failed > 0 {
+		log.Printf("benchtool: %d gate(s) failed", failed)
+		return 1
 	}
-	f()
+	return 0
 }
 
 func must(err error) {
@@ -785,18 +729,27 @@ func expFaults() {
 
 // --- Experiment: concurrent multi-session scaling (E11) -----------------
 
-var (
-	scaleSessions string
-	scaleWorkers  string
-	scaleLatency  time.Duration
-	scaleMin      float64
-	scaleRegress  float64
-	scaleAllocMax float64
-	scaleOut      string
-	scaleWAL      bool
-	scaleFsync    int64
-	scaleMemo     bool
-)
+// scaleConfig fixes the cells of one E11 run.
+type scaleConfig struct {
+	sessions, workers []int
+	latency           time.Duration // injected wall-clock latency per tool body
+	fsyncEvery        int64         // > 0 arms a write-ahead log with this group-commit interval
+	memo              bool          // arms a fresh step-result cache per cell
+}
+
+// Cells s<N>/w<W> carry one drive each; cell s<N> carries
+// max_vs_best_lower, the max-worker cell's throughput over the best
+// lower-worker cell's, which must stay near 1 or above: adding workers
+// must never cost throughput. Allocation and contention counts depend on
+// GC timing and scheduling and are excluded from the fingerprints.
+var scaleExp = &experiment{
+	title: "E11 scale: steps/sec vs workers",
+	metrics: []metric{
+		{"steps", "1"}, {"wall_ms", "ms"}, {"steps_per_s", "1/s"}, {"speedup", "x"},
+		{"max_vs_best_lower", "x"}, {"allocs_per_step", "1"}, {"bytes_per_step", "B"},
+		{"stripe_contention", "1"}, {"stats_sha256", "sha256"}, {"version_sha256", "sha256"},
+	},
+}
 
 // statsSHA fingerprints a registry export with the memo.* namespace
 // filtered out — the one namespace permitted to differ between memo-on
@@ -811,61 +764,42 @@ func statsSHA(reg *obs.Registry) string {
 	return fmt.Sprintf("%x", sha256.Sum256([]byte(b.String())))
 }
 
-// scaleRow is one (sessions, workers) cell of BENCH_scale.json.
-type scaleRow struct {
-	Sessions    int     `json:"sessions"`
-	Workers     int     `json:"workers"`
-	Steps       int64   `json:"steps"`
-	WallMS      float64 `json:"wall_ms"`
-	StepsPerSec float64 `json:"steps_per_sec"`
-	SpeedupVs1  float64 `json:"speedup_vs_1_worker"`
-	// StatsSHA and VersionSHA fingerprint the metrics export and the
-	// final OCT version map; within one session count they must match
-	// across every worker count and across repeated runs.
-	StatsSHA   string `json:"stats_sha256"`
-	VersionSHA string `json:"version_sha256"`
-	// StripeContention is the store's contended-lock count — an
-	// informational, scheduling-dependent probe excluded from the
-	// fingerprints (docs/OBSERVABILITY.md).
-	StripeContention int64 `json:"oct_stripe_contention"`
-	// AllocsPerStep/BytesPerStep are runtime.MemStats deltas over the cell
-	// divided by completed steps; populated only under -benchmem. Like
-	// wall-clock they are host-dependent (GC timing, pool hit rates) and
-	// excluded from the fingerprints.
-	AllocsPerStep float64 `json:"allocs_per_step,omitempty"`
-	BytesPerStep  float64 `json:"bytes_per_step,omitempty"`
+// scaleCell is one measured (sessions, workers) drive.
+type scaleCell struct {
+	d                 drive
+	steps, contention int64
+	stats, versions   string
 }
 
 // runScaleCell executes N independent Fanout4 sessions against one shared
-// store with the given worker count and returns the measured row.
-func runScaleCell(sessions, workers int) scaleRow {
+// store with the given worker count.
+func runScaleCell(cfg scaleConfig, sessions, workers int) scaleCell {
 	reg := obs.NewRegistry()
-	cfg := core.Config{
+	ccfg := core.Config{
 		Nodes:            4,
 		Workers:          workers,
-		StepLatency:      scaleLatency,
+		StepLatency:      cfg.latency,
 		DisableInference: true,
 		Metrics:          reg,
 		ExtraTemplates:   map[string]string{"Fanout4": fanoutTemplate},
 	}
-	if scaleWAL {
+	if cfg.fsyncEvery > 0 {
 		// A fresh log per cell: the point is the durability overhead and
 		// the invariance of the fingerprints, not the log's content.
 		dir, err := os.MkdirTemp("", "papyrus-scale-wal-")
 		must(err)
 		defer os.RemoveAll(dir)
-		cfg.Durability = &core.DurabilityConfig{Dir: dir, FsyncEvery: scaleFsync}
+		ccfg.Durability = &core.DurabilityConfig{Dir: dir, FsyncEvery: cfg.fsyncEvery}
 	}
-	if scaleMemo {
+	if cfg.memo {
 		// A fresh cache per cell keeps the workload all-miss: the point is
 		// that keying and populating change no fingerprint, not hit speed.
-		cfg.Memo = memo.NewCache()
+		ccfg.Memo = memo.NewCache()
 	}
-	sys, err := core.New(cfg)
+	sys, err := core.New(ccfg)
 	must(err)
 	specs := make([]core.SessionSpec, sessions)
 	for i := range specs {
-		i := i
 		specs[i] = core.SessionSpec{
 			Name: fmt.Sprintf("s%d", i),
 			Run: func(s *core.Session) error {
@@ -895,153 +829,75 @@ func runScaleCell(sessions, workers int) scaleRow {
 			},
 		}
 	}
-	var memBefore runtime.MemStats
-	if benchMem {
-		runtime.GC()
-		runtime.ReadMemStats(&memBefore)
-	}
-	start := time.Now()
-	_, err = sys.RunSessions(specs)
-	wall := time.Since(start)
-	var memAfter runtime.MemStats
-	if benchMem {
-		runtime.ReadMemStats(&memAfter)
-	}
+	d, err := measure(func() error {
+		_, err := sys.RunSessions(specs)
+		return err
+	})
 	must(err)
 	must(sys.Close())
-
-	steps := reg.Counter("task.step.complete")
-	row := scaleRow{
-		Sessions:         sessions,
-		Workers:          workers,
-		Steps:            steps,
-		WallMS:           float64(wall.Microseconds()) / 1000,
-		StepsPerSec:      float64(steps) / wall.Seconds(),
-		StatsSHA:         statsSHA(reg),
-		VersionSHA:       fmt.Sprintf("%x", sha256.Sum256([]byte(sys.Store.VersionMapText()))),
-		StripeContention: sys.Store.StripeContention(),
+	return scaleCell{
+		d:          d,
+		steps:      reg.Counter("task.step.complete"),
+		contention: sys.Store.StripeContention(),
+		stats:      statsSHA(reg),
+		versions:   fmt.Sprintf("%x", sha256.Sum256([]byte(sys.Store.VersionMapText()))),
 	}
-	if benchMem && steps > 0 {
-		row.AllocsPerStep = float64(memAfter.Mallocs-memBefore.Mallocs) / float64(steps)
-		row.BytesPerStep = float64(memAfter.TotalAlloc-memBefore.TotalAlloc) / float64(steps)
-	}
-	return row
 }
 
-// expScale is E11: wall-clock throughput of the concurrent engine vs
+// drive runs E11: wall-clock throughput of the concurrent engine vs
 // worker count at N independent sessions over one shared striped store.
-// Before measuring, every session count's 1-worker cell is run twice and
-// every other worker count once; all fingerprints within a session count
-// must agree — a violated invariant is a hard failure, not a table row.
-func expScale() {
+// Every session count's 1-worker cell runs twice and every other worker
+// count once; all fingerprints within a session count must agree — a
+// violated invariant is a hard failure, not a row.
+func (cfg scaleConfig) drive() []Row {
 	fmt.Println("## E11: multi-session scaling — steps/sec vs workers over the shared striped store")
-	fmt.Printf("(step latency %v per tool body; fingerprints must match within each session row)\n", scaleLatency)
-	if scaleWAL {
-		fmt.Printf("(write-ahead logging ON, fsync-every=%d — fingerprints must match the durability-free contract)\n", scaleFsync)
+	fmt.Printf("(step latency %v per tool body; fingerprints must match within each session row)\n", cfg.latency)
+	if cfg.fsyncEvery > 0 {
+		fmt.Printf("(write-ahead logging ON, fsync-every=%d — fingerprints must match the durability-free contract)\n", cfg.fsyncEvery)
 	}
-	if scaleMemo {
+	if cfg.memo {
 		fmt.Println("(step-result cache ON, fresh per cell — filtered fingerprints must match the memo-free contract)")
 	}
-	fmt.Println("sessions | workers | steps | wall ms | steps/sec | speedup | fingerprints")
-	sessionCounts := parseIntList(scaleSessions)
-	workerCounts := parseIntList(scaleWorkers)
-	var rows []scaleRow
-	var largest scaleRow
-	for _, n := range sessionCounts {
-		// Repeat-run determinism check at 1 worker.
-		warm := runScaleCell(n, 1)
-		base := runScaleCell(n, 1)
-		if warm.StatsSHA != base.StatsSHA || warm.VersionSHA != base.VersionSHA {
+	rs := rowSet{exp: scaleExp}
+	maxWorkers := slices.Max(cfg.workers)
+	for _, n := range cfg.sessions {
+		warm := runScaleCell(cfg, n, 1)
+		base := runScaleCell(cfg, n, 1)
+		if warm.stats != base.stats || warm.versions != base.versions {
 			log.Fatalf("scale: sessions=%d: repeated 1-worker runs disagree (stats %s vs %s, versions %s vs %s)",
-				n, warm.StatsSHA[:12], base.StatsSHA[:12], warm.VersionSHA[:12], base.VersionSHA[:12])
+				n, warm.stats[:12], base.stats[:12], warm.versions[:12], base.versions[:12])
 		}
-		var best scaleRow
-		sessionStart := len(rows)
-		for _, w := range workerCounts {
-			row := base
+		perSec := func(c scaleCell) float64 { return float64(c.steps) / c.d.wall.Seconds() }
+		var lowerBest, top float64
+		for _, w := range cfg.workers {
+			c := base
 			if w != 1 {
-				row = runScaleCell(n, w)
+				c = runScaleCell(cfg, n, w)
 			}
-			if row.StatsSHA != base.StatsSHA || row.VersionSHA != base.VersionSHA {
+			if c.stats != base.stats || c.versions != base.versions {
 				log.Fatalf("scale: sessions=%d workers=%d: export diverged from 1-worker run (stats %s vs %s, versions %s vs %s)",
-					n, w, row.StatsSHA[:12], base.StatsSHA[:12], row.VersionSHA[:12], base.VersionSHA[:12])
+					n, w, c.stats[:12], base.stats[:12], c.versions[:12], base.versions[:12])
 			}
-			row.SpeedupVs1 = row.StepsPerSec / base.StepsPerSec
-			if w >= best.Workers {
-				best = row
-			}
-			rows = append(rows, row)
-			fmt.Printf("%8d | %7d | %5d | %7.1f | %9.1f | %7.2f | ok (%s/%s)\n",
-				n, w, row.Steps, row.WallMS, row.StepsPerSec, row.SpeedupVs1,
-				row.StatsSHA[:12], row.VersionSHA[:12])
-		}
-		largest = best
-		if scaleMin > 0 && n == sessionCounts[len(sessionCounts)-1] && best.SpeedupVs1 < scaleMin {
-			gateFail("scale gate: sessions=%d workers=%d speedup %.2f < required %.2f",
-				n, best.Workers, best.SpeedupVs1, scaleMin)
-		}
-		// Monotonicity gate: adding workers must never cost throughput.
-		// The max-worker cell has to hold scaleRegress x the best
-		// lower-worker cell of the same session count.
-		if scaleRegress > 0 {
-			var lowerBest float64
-			for _, r := range rows[sessionStart:] {
-				if r.Workers < best.Workers && r.StepsPerSec > lowerBest {
-					lowerBest = r.StepsPerSec
-				}
-			}
-			if lowerBest > 0 && best.StepsPerSec < scaleRegress*lowerBest {
-				gateFail("scale regression gate: sessions=%d: workers=%d ran %.1f steps/sec, %.2fx the best lower-worker cell (%.1f) — floor %.2f",
-					n, best.Workers, best.StepsPerSec, best.StepsPerSec/lowerBest, lowerBest, scaleRegress)
+			cell := fmt.Sprintf("s%d/w%d", n, w)
+			rs.addDrive(cell, c.d, c.steps)
+			rs.add(cell, "speedup", perSec(c)/perSec(base))
+			rs.add(cell, "stripe_contention", float64(c.contention))
+			rs.digest(cell, "stats_sha256", c.stats)
+			rs.digest(cell, "version_sha256", c.versions)
+			if w < maxWorkers {
+				lowerBest = max(lowerBest, perSec(c))
+			} else {
+				top = perSec(c)
 			}
 		}
-	}
-	f, err := os.Create(scaleOut)
-	must(err)
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	must(enc.Encode(rows))
-	must(f.Close())
-	fmt.Printf("wrote %d rows to %s\n", len(rows), scaleOut)
-	if benchMem {
-		// Greppable perf line for scripts/perfgate.sh: the largest cell's
-		// allocation cost per completed step.
-		fmt.Printf("perf: allocs/step = %.0f bytes/step = %.0f (sessions=%d workers=%d)\n",
-			largest.AllocsPerStep, largest.BytesPerStep, largest.Sessions, largest.Workers)
-		if scaleAllocMax > 0 && largest.AllocsPerStep > scaleAllocMax {
-			gateFail("alloc gate: sessions=%d workers=%d allocated %.0f objects/step > ceiling %.0f",
-				largest.Sessions, largest.Workers, largest.AllocsPerStep, scaleAllocMax)
+		if lowerBest > 0 {
+			rs.add(fmt.Sprintf("s%d", n), "max_vs_best_lower", top/lowerBest)
 		}
 	}
-	var md strings.Builder
-	md.WriteString("### E11 scale: steps/sec vs workers\n\n")
-	md.WriteString("| sessions | workers | steps | steps/sec | speedup vs 1w |")
-	if benchMem {
-		md.WriteString(" allocs/step |")
-	}
-	md.WriteString("\n|---:|---:|---:|---:|---:|")
-	if benchMem {
-		md.WriteString("---:|")
-	}
-	md.WriteString("\n")
-	for _, r := range rows {
-		fmt.Fprintf(&md, "| %d | %d | %d | %.1f | %.2f |", r.Sessions, r.Workers, r.Steps, r.StepsPerSec, r.SpeedupVs1)
-		if benchMem {
-			fmt.Fprintf(&md, " %.0f |", r.AllocsPerStep)
-		}
-		md.WriteString("\n")
-	}
-	md.WriteString("\n")
-	appendSummary(md.String())
+	return rs.rows
 }
 
 // --- Experiment: rework replay with memoization (E12) -------------------
-
-var (
-	replayWorkers string
-	replayMin     float64
-	replayOut     string
-)
 
 // replayChainTemplate threads two intermediates (m1, m2) through the
 // chain, so replay hits depend on instance-suffix normalization and
@@ -1050,27 +906,30 @@ var (
 // the bytes against the original hand-written template.
 var replayChainTemplate = workload.ChainTemplate("ReplayChain", []string{"Build", "Optimize", "Finish"})
 
-// replayRow is one (workers, memo) cell of BENCH_replay.json.
-type replayRow struct {
-	Workers     int     `json:"workers"`
-	Memo        bool    `json:"memo"`
-	FirstTicks  int64   `json:"first_run_ticks"`
-	ReplayTicks int64   `json:"replay_ticks"`
-	Speedup     float64 `json:"replay_speedup"`
-	MemoHits    int64   `json:"memo_hits"`
-	MemoMisses  int64   `json:"memo_misses"`
-	// StatsSHA is the memo-filtered metrics fingerprint: constant across
-	// worker counts within a memo setting. VersionSHA is the final OCT
-	// version map: constant across every cell — memoized replay must
-	// produce byte-identical store content to re-running the tools.
-	StatsSHA   string `json:"stats_sha256"`
-	VersionSHA string `json:"version_sha256"`
+// Cells are memo-off/w<W> and memo-on/w<W>. stats_sha256 is the
+// memo-filtered metrics fingerprint: constant across worker counts
+// within a memo setting. version_sha256 is the final OCT version map:
+// constant across every cell — memoized replay must produce
+// byte-identical store content to re-running the tools.
+var replayExp = &experiment{
+	title: "E12 replay: redo cost after a cursor move",
+	metrics: []metric{
+		{"first_ticks", "ticks"}, {"replay_ticks", "ticks"}, {"speedup", "x"},
+		{"memo_hits", "1"}, {"memo_misses", "1"},
+		{"stats_sha256", "sha256"}, {"version_sha256", "sha256"},
+	},
+}
+
+// replayCell is one measured (workers, memo) cell.
+type replayCell struct {
+	first, replay, hits, misses int64
+	stats, versions             string
 }
 
 // runReplayCell runs the E12 workload once: a fan-out task plus an
 // intermediate chain, then a cursor move back to the initial state and a
-// redo of both records (§3.3.3). Returns the measured cell.
-func runReplayCell(workers int, withMemo bool) replayRow {
+// redo of both records (§3.3.3).
+func runReplayCell(workers int, withMemo bool) replayCell {
 	reg := obs.NewRegistry()
 	cfg := core.Config{
 		Nodes: 4, Workers: workers, DisableInference: true, Metrics: reg,
@@ -1107,102 +966,89 @@ func runReplayCell(workers int, withMemo bool) replayRow {
 	replay := sys.Cluster.Now() - first
 	benchMetrics.Observe(fmt.Sprintf("bench.replay.redo.w%d.memo=%v.ticks", workers, withMemo), replay)
 
-	return replayRow{
-		Workers:     workers,
-		Memo:        withMemo,
-		FirstTicks:  first,
-		ReplayTicks: replay,
-		Speedup:     float64(first) / float64(max64(1, replay)),
-		MemoHits:    reg.Counter("memo.hit"),
-		MemoMisses:  reg.Counter("memo.miss"),
-		StatsSHA:    statsSHA(reg),
-		VersionSHA:  fmt.Sprintf("%x", sha256.Sum256([]byte(sys.Store.VersionMapText()))),
+	return replayCell{
+		first:    first,
+		replay:   replay,
+		hits:     reg.Counter("memo.hit"),
+		misses:   reg.Counter("memo.miss"),
+		stats:    statsSHA(reg),
+		versions: fmt.Sprintf("%x", sha256.Sum256([]byte(sys.Store.VersionMapText()))),
 	}
 }
 
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// expReplay is E12: virtual-tick cost of redoing work after a cursor
-// move, with and without the step-result cache. The version-map
-// fingerprint must be identical across every cell — memoization may only
-// change how fast the store reaches a state, never which state — and the
-// memo-filtered stats fingerprint must be worker-count invariant within
-// each memo setting.
-func expReplay() {
+// expReplay is E12 at 1 and 8 workers: virtual-tick cost of redoing work after a cursor
+// move, with and without the step-result cache. Memoization may only
+// change how fast the store reaches a state, never which state.
+func expReplay() []Row {
 	fmt.Println("## E12: rework replay — redo cost after a cursor move, memo off vs on")
-	fmt.Println("workers | memo | first run (ticks) | replay (ticks) | speedup | hits | misses | fingerprints")
-	workerCounts := parseIntList(replayWorkers)
-	var rows []replayRow
-	var gate replayRow
+	rs := rowSet{exp: replayExp}
+	var ref replayCell
 	for _, withMemo := range []bool{false, true} {
-		var base replayRow
-		for i, w := range workerCounts {
-			row := runReplayCell(w, withMemo)
+		var base replayCell
+		for i, w := range []int{1, 8} {
+			c := runReplayCell(w, withMemo)
 			if i == 0 {
-				base = row
+				base = c
 			}
-			if row.StatsSHA != base.StatsSHA {
+			if c.stats != base.stats {
 				log.Fatalf("replay: memo=%v workers=%d: stats fingerprint diverged from workers=%d (%s vs %s)",
-					withMemo, w, base.Workers, row.StatsSHA[:12], base.StatsSHA[:12])
+					withMemo, w, 1, c.stats[:12], base.stats[:12])
 			}
-			if len(rows) > 0 && row.VersionSHA != rows[0].VersionSHA {
+			if ref.versions == "" {
+				ref = c
+			}
+			if c.versions != ref.versions {
 				log.Fatalf("replay: memo=%v workers=%d: version map diverged from the memo-off reference (%s vs %s)",
-					withMemo, w, row.VersionSHA[:12], rows[0].VersionSHA[:12])
+					withMemo, w, c.versions[:12], ref.versions[:12])
 			}
-			rows = append(rows, row)
+			cell := fmt.Sprintf("memo-off/w%d", w)
 			if withMemo {
-				gate = row
+				cell = fmt.Sprintf("memo-on/w%d", w)
 			}
-			fmt.Printf("%7d | %4v | %17d | %14d | %7.2f | %4d | %6d | ok (%s/%s)\n",
-				w, withMemo, row.FirstTicks, row.ReplayTicks, row.Speedup,
-				row.MemoHits, row.MemoMisses, row.StatsSHA[:12], row.VersionSHA[:12])
+			rs.add(cell, "first_ticks", float64(c.first))
+			rs.add(cell, "replay_ticks", float64(c.replay))
+			rs.add(cell, "speedup", float64(c.first)/float64(max(1, c.replay)))
+			rs.add(cell, "memo_hits", float64(c.hits))
+			rs.add(cell, "memo_misses", float64(c.misses))
+			rs.digest(cell, "stats_sha256", c.stats)
+			rs.digest(cell, "version_sha256", c.versions)
 		}
 	}
-	f, err := os.Create(replayOut)
-	must(err)
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	must(enc.Encode(rows))
-	must(f.Close())
-	fmt.Printf("wrote %d rows to %s\n", len(rows), replayOut)
-	if replayMin > 0 && gate.Speedup < replayMin {
-		gateFail("replay gate: workers=%d memo=on speedup %.2f < required %.2f",
-			gate.Workers, gate.Speedup, replayMin)
-	}
-	var md strings.Builder
-	md.WriteString("### E12 replay: redo cost after a cursor move\n\n")
-	md.WriteString("| workers | memo | first run (ticks) | replay (ticks) | speedup | hits | misses |\n")
-	md.WriteString("|---:|:---:|---:|---:|---:|---:|---:|\n")
-	for _, r := range rows {
-		fmt.Fprintf(&md, "| %d | %v | %d | %d | %.2f | %d | %d |\n",
-			r.Workers, r.Memo, r.FirstTicks, r.ReplayTicks, r.Speedup, r.MemoHits, r.MemoMisses)
-	}
-	md.WriteString("\n")
-	appendSummary(md.String())
+	return rs.rows
 }
 
-func parseIntList(s string) []int {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, err := strconv.Atoi(part)
-		if err != nil || n < 1 {
-			log.Fatalf("bad count %q in list %q", part, s)
-		}
-		out = append(out, n)
+// --- Coverage -------------------------------------------------------------
+
+var coverageExp = &experiment{
+	title:   "total statement coverage of go test ./...",
+	metrics: []metric{{"coverage_pct", "%"}},
+}
+
+// coverage runs the module's tests under -coverprofile from the
+// working directory (the repository root) and reports the total
+// statement coverage as cell "total".
+func coverage() []Row {
+	f, err := os.CreateTemp("", "papyrus-cover-*.out")
+	must(err)
+	must(f.Close())
+	defer os.Remove(f.Name())
+	if out, err := exec.Command("go", "test", "-count=1", "-coverprofile="+f.Name(), "./...").CombinedOutput(); err != nil {
+		os.Stderr.Write(out)
+		log.Fatalf("coverage: go test: %v", err)
 	}
-	if len(out) == 0 {
-		log.Fatal("empty count list")
+	out, err := exec.Command("go", "tool", "cover", "-func="+f.Name()).Output()
+	must(err)
+	for _, line := range strings.Split(string(out), "\n") {
+		if f := strings.Fields(line); len(f) > 0 && f[0] == "total:" {
+			pct, err := strconv.ParseFloat(strings.TrimSuffix(f[len(f)-1], "%"), 64)
+			must(err)
+			rs := rowSet{exp: coverageExp}
+			rs.add("total", "coverage_pct", pct)
+			return rs.rows
+		}
 	}
-	return out
+	log.Fatalf("coverage: no total line in go tool cover output:\n%s", out)
+	return nil
 }
 
 func fanTemplate(fanout int) string {

@@ -1,18 +1,12 @@
 package main
 
-// The experiment functions are exercised directly, with the flag-bound
-// globals set to small matrices, so the tables CI regenerates are also
-// covered by `go test`. Every experiment is deterministic (virtual time,
-// seeded workloads); a log.Fatal inside one — a gate failure or a
-// fingerprint divergence — fails the test binary, which is exactly the
-// check CI's bench-smoke job performs at full size.
+// The experiment functions are exercised directly on small cells, so
+// the tables CI regenerates are also covered by `go test`. Every
+// experiment is deterministic (virtual time, seeded workloads); a
+// log.Fatal inside one — a fingerprint divergence or lost work — fails
+// the test binary, which is exactly the check the full-size runs make.
 
 import (
-	"bytes"
-	"encoding/json"
-	"flag"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -40,277 +34,163 @@ func TestQualitativeExperiments(t *testing.T) {
 	}
 }
 
-func TestScaleExperiment(t *testing.T) {
-	dir := t.TempDir()
-	scaleSessions, scaleWorkers = "2", "1,2"
-	scaleLatency, scaleMin = 100*time.Microsecond, 0
-	scaleOut = filepath.Join(dir, "scale.json")
-	benchMem = true
-	summaryPath = filepath.Join(dir, "summary.md")
-	benchGateErrs = nil
-	defer func() { benchMem, summaryPath, benchGateErrs = false, "", nil }()
-
-	for _, memo := range []bool{false, true} {
-		scaleMemo = memo
-		expScale()
-		raw, err := os.ReadFile(scaleOut)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var rows []scaleRow
-		if err := json.Unmarshal(raw, &rows); err != nil {
-			t.Fatal(err)
-		}
-		if len(rows) != 2 {
-			t.Fatalf("memo=%v: %d rows, want 2", memo, len(rows))
-		}
-		// expScale already fataled on any intra-run divergence; across the
-		// memo settings the filtered fingerprints must agree too.
-		if rows[0].StatsSHA == "" || rows[0].VersionSHA == "" {
-			t.Fatalf("memo=%v: empty fingerprints: %+v", memo, rows[0])
-		}
-		for _, row := range rows {
-			if row.AllocsPerStep <= 0 || row.BytesPerStep <= 0 {
-				t.Errorf("memo=%v workers=%d: -benchmem left allocs/step=%.1f bytes/step=%.1f",
-					memo, row.Workers, row.AllocsPerStep, row.BytesPerStep)
-			}
-		}
+// num returns the numeric value of the row with the given cell and
+// metric, failing the test if there is none.
+func num(t *testing.T, rows []Row, cell, metric string) float64 {
+	t.Helper()
+	r, ok := find(rows, cell, metric)
+	if !ok {
+		t.Fatalf("no row %s %s", cell, metric)
 	}
-	if len(benchGateErrs) != 0 {
-		t.Fatalf("gates tripped with no thresholds set: %v", benchGateErrs)
+	v, ok := r.value()
+	if !ok {
+		t.Fatalf("%s %s = %v, not a number", cell, metric, r.Value)
 	}
-	md, err := os.ReadFile(summaryPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(md), "### E11 scale") || !strings.Contains(string(md), "| allocs/step |") {
-		t.Errorf("summary table missing expected sections:\n%s", md)
-	}
+	return v
 }
 
-// TestScaleGatesDefer exercises the deferred-gate path: an absurd alloc
-// ceiling and a regression floor above perfect scaling must both record
-// violations without aborting the run (profiles/summaries flush first;
-// main exits non-zero afterwards).
-func TestScaleGatesDefer(t *testing.T) {
-	scaleSessions, scaleWorkers = "2", "1,2"
-	scaleLatency, scaleMin = 100*time.Microsecond, 0
-	scaleOut = filepath.Join(t.TempDir(), "scale.json")
-	scaleMemo = false
-	benchMem = true
-	scaleAllocMax = 0.5   // impossible: every step allocates something
-	scaleRegress = 1000.0 // impossible: demands 1000x scaling from 1->2 workers
-	benchGateErrs = nil
-	defer func() {
-		benchMem, scaleAllocMax, scaleRegress, benchGateErrs = false, 0, 0, nil
-	}()
+// digest returns the fingerprint of the given cell and metric.
+func digest(t *testing.T, rows []Row, cell, metric string) string {
+	t.Helper()
+	r, ok := find(rows, cell, metric)
+	if !ok {
+		t.Fatalf("no row %s %s", cell, metric)
+	}
+	hex, ok := r.Value.(string)
+	if !ok || len(hex) != 64 {
+		t.Fatalf("%s %s = %v, not a SHA-256 digest", cell, metric, r.Value)
+	}
+	return hex
+}
 
-	expScale() // must return, not exit
-	if len(benchGateErrs) != 2 {
-		t.Fatalf("want 2 recorded gate violations (alloc + regression), got %v", benchGateErrs)
+func TestScaleExperiment(t *testing.T) {
+	cfg := scaleConfig{sessions: []int{2}, workers: []int{1, 2}, latency: 100 * time.Microsecond}
+	var stats []string
+	for _, memo := range []bool{false, true} {
+		cfg.memo = memo
+		rows := cfg.drive()
+		for _, cell := range []string{"s2/w1", "s2/w2"} {
+			if num(t, rows, cell, "steps") != 8 {
+				t.Errorf("memo=%v %s: steps = %v, want 8", memo, cell, num(t, rows, cell, "steps"))
+			}
+			if num(t, rows, cell, "allocs_per_step") <= 0 || num(t, rows, cell, "bytes_per_step") <= 0 {
+				t.Errorf("memo=%v %s: allocation counting left no allocs/step or bytes/step", memo, cell)
+			}
+			digest(t, rows, cell, "version_sha256")
+		}
+		if num(t, rows, "s2/w1", "speedup") != 1 {
+			t.Errorf("memo=%v: 1-worker speedup = %v, want 1", memo, num(t, rows, "s2/w1", "speedup"))
+		}
+		num(t, rows, "s2", "max_vs_best_lower")
+		// The drive already fataled on any intra-run divergence; across the
+		// memo settings the filtered fingerprints must agree too.
+		stats = append(stats, digest(t, rows, "s2/w2", "stats_sha256"))
+	}
+	if stats[0] != stats[1] {
+		t.Errorf("memo-filtered stats fingerprint differs with memo on: %s vs %s", stats[0][:12], stats[1][:12])
 	}
 }
 
 func TestReplayExperiment(t *testing.T) {
-	replayWorkers, replayMin = "1,2", 3
-	replayOut = filepath.Join(t.TempDir(), "replay.json")
-	benchGateErrs = nil
-	defer func() { benchGateErrs = nil }()
-
-	expReplay()
-
-	if len(benchGateErrs) != 0 {
-		t.Fatalf("replay gate tripped: %v", benchGateErrs)
-	}
-
-	raw, err := os.ReadFile(replayOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rows []replayRow
-	if err := json.Unmarshal(raw, &rows); err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 {
-		t.Fatalf("%d rows, want 4 (2 workers x memo off/on)", len(rows))
-	}
-	for _, row := range rows {
-		if row.Memo && row.ReplayTicks != 0 {
-			t.Errorf("workers=%d memo=on: replay cost %d ticks, want 0", row.Workers, row.ReplayTicks)
+	rows := expReplay()
+	for _, w := range []string{"w1", "w8"} {
+		on, off := "memo-on/"+w, "memo-off/"+w
+		if got := num(t, rows, on, "replay_ticks"); got != 0 {
+			t.Errorf("%s: replay cost %v ticks, want 0", on, got)
 		}
-		if !row.Memo && row.ReplayTicks != row.FirstTicks {
-			t.Errorf("workers=%d memo=off: replay %d != first run %d", row.Workers, row.ReplayTicks, row.FirstTicks)
+		if num(t, rows, off, "replay_ticks") != num(t, rows, off, "first_ticks") {
+			t.Errorf("%s: replay %v != first run %v", off, num(t, rows, off, "replay_ticks"), num(t, rows, off, "first_ticks"))
+		}
+		if num(t, rows, on, "speedup") < 3 {
+			t.Errorf("%s: speedup %v < 3", on, num(t, rows, on, "speedup"))
+		}
+		if digest(t, rows, on, "version_sha256") != digest(t, rows, off, "version_sha256") {
+			t.Errorf("%s: memoized replay changed the version map", w)
 		}
 	}
 }
 
 // TestServeExperiment drives the full E13 path at a small size: an
-// in-process papyrusd on a loopback listener, concurrent wire sessions,
-// latency quantiles, gates, and the summary table.
+// in-process papyrusd on a loopback listener, concurrent wire sessions
+// and latency quantiles per request class.
 func TestServeExperiment(t *testing.T) {
-	dir := t.TempDir()
-	serveSessions, serveShards, serveWorkers, serveTenants = 8, 2, 4, 4
-	serveRate, serveBurst, serveQueue = 0, 0, 256
-	serveMin, serveP99 = 1, 60000 // loose thresholds: exercise the gate code, catch only collapse
-	serveOut = filepath.Join(dir, "serve.json")
-	summaryPath = filepath.Join(dir, "summary.md")
-	benchGateErrs = nil
-	defer func() { summaryPath, benchGateErrs = "", nil }()
-
-	expServe()
-
-	if len(benchGateErrs) != 0 {
-		t.Fatalf("serve gates tripped: %v", benchGateErrs)
+	rows := serveConfig{sessions: 8}.drive()
+	if got := num(t, rows, "run", "steps"); got != 32 {
+		t.Errorf("steps = %v, want 32 (8 sessions x 4 steps)", got)
 	}
-	raw, err := os.ReadFile(serveOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rows []serveRow
-	if err := json.Unmarshal(raw, &rows); err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 {
-		t.Fatalf("%d rows, want 1", len(rows))
-	}
-	if rows[0].Steps != 32 {
-		t.Errorf("steps = %d, want 32 (8 sessions x 4 steps)", rows[0].Steps)
-	}
-	if rows[0].VersionSHA == "" {
-		t.Error("empty version fingerprint")
-	}
-	md, err := os.ReadFile(summaryPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(md), "### E13 serve") {
-		t.Errorf("summary missing E13 section:\n%s", md)
+	digest(t, rows, "run", "version_sha256")
+	for c, want := range map[string]float64{"open": 8, "import": 32, "task": 8, "history": 8, "close": 8, "all": 64} {
+		if got := num(t, rows, c, "count"); got != want {
+			t.Errorf("%s: %v requests, want %v", c, got, want)
+		}
+		if num(t, rows, c, "p50_ms") > num(t, rows, c, "p99_ms") {
+			t.Errorf("%s: p50 above p99", c)
+		}
 	}
 }
 
 // TestWorkloadExperiment drives the full E15 path at a small size: two
 // profiles expanded from one seed, the repeat and worker-invariance
-// gates in-process, the wire-parity cell, and the summary table. Any
-// fingerprint divergence log.Fatals inside expWorkload and fails the
-// binary, which is the same check CI's workload-smoke job performs at
-// full size.
+// gates in-process and the wire-parity cell. Any fingerprint divergence
+// log.Fatals inside the drive and fails the binary.
 func TestWorkloadExperiment(t *testing.T) {
-	dir := t.TempDir()
-	wlProfiles = "interactive,agentic"
-	wlSeed, wlSessions, wlDepth, wlFanout = 11, 2, 3, 3
-	wlWorkers, wlMin = "1,2", 1
-	wlOut = filepath.Join(dir, "workload.json")
-	summaryPath = filepath.Join(dir, "summary.md")
-	benchGateErrs = nil
-	defer func() { summaryPath, benchGateErrs = "", nil }()
-
-	expWorkload()
-
-	if len(benchGateErrs) != 0 {
-		t.Fatalf("workload gates tripped: %v", benchGateErrs)
-	}
-	raw, err := os.ReadFile(wlOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rows []workloadRow
-	if err := json.Unmarshal(raw, &rows); err != nil {
-		t.Fatal(err)
-	}
-	// 2 profiles x (2 core worker counts + 1 wire cell).
-	if len(rows) != 6 {
-		t.Fatalf("%d rows, want 6", len(rows))
-	}
-	for _, row := range rows {
-		if row.Steps <= 0 || row.VersionSHA == "" {
-			t.Errorf("%s/%s: empty cell: %+v", row.Profile, row.Path, row)
+	rows := workloadConfig{profiles: []string{"interactive", "agentic"}}.drive()
+	for _, p := range []string{"interactive", "agentic"} {
+		for _, cell := range []string{p + "/core/w1", p + "/core/w4", p + "/wire/w4"} {
+			if num(t, rows, cell, "steps") <= 0 {
+				t.Errorf("%s: no steps", cell)
+			}
+			if digest(t, rows, cell, "version_sha256") != digest(t, rows, p+"/core/w1", "version_sha256") {
+				t.Errorf("%s: version map differs from %s/core/w1", cell, p)
+			}
+			if _, ok := find(rows, cell, "stats_sha256"); ok == strings.Contains(cell, "/wire/") {
+				t.Errorf("%s: stats fingerprint presence wrong", cell)
+			}
 		}
-		if (row.StatsSHA == "") != (row.Path == "wire") {
-			t.Errorf("%s/%s: stats fingerprint presence wrong: %+v", row.Profile, row.Path, row)
+		best := max(num(t, rows, p+"/core/w1", "steps_per_s"), num(t, rows, p+"/core/w4", "steps_per_s"))
+		if got := num(t, rows, p, "best_steps_per_s"); got != best {
+			t.Errorf("%s: best_steps_per_s = %v, want the best in-process cell %v", p, got, best)
 		}
-	}
-	md, err := os.ReadFile(summaryPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(md), "### E15 workload") {
-		t.Errorf("summary missing E15 section:\n%s", md)
 	}
 }
 
 // TestReclaimExperiment drives the full E17 path at a small size: the
-// deep-rework soak in all four cells (swept, swept repeat,
-// unswept, WAL-armed with crash recovery). The repeat, modulo-reclaimed,
-// step-identity, and recovery gates all log.Fatal inside expReclaim on
-// divergence — the same check CI's reclaim-soak job performs at full
-// depth. The ratio-shape gates stay off: they need depth >= 128 so both
-// soak halves contain kept chains (docs/RECLAIM.md).
+// deep-rework soak in all four cells (swept, swept repeat, unswept,
+// WAL-armed with crash recovery). The repeat, modulo-reclaimed,
+// step-identity and recovery checks all log.Fatal inside the drive on
+// divergence. At depth 16 the soak has two rounds, so peak_growth has
+// one checkpoint per half.
 func TestReclaimExperiment(t *testing.T) {
-	dir := t.TempDir()
-	rcSeed, rcSessions, rcDepth, rcFanout = 11, 2, 8, 2
-	rcWorkers, rcSweep, rcBudget = 2, 1, 0
-	rcGrowth, rcMaxRatio = 0, 0
-	rcOut = filepath.Join(dir, "reclaim.json")
-	summaryPath = filepath.Join(dir, "summary.md")
-	benchGateErrs = nil
-	defer func() { summaryPath, benchGateErrs = "", nil }()
-
-	expReclaim()
-
-	if len(benchGateErrs) != 0 {
-		t.Fatalf("reclaim gates tripped with no floor set: %v", benchGateErrs)
-	}
-	raw, err := os.ReadFile(rcOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rows []reclaimRow
-	if err := json.Unmarshal(raw, &rows); err != nil {
-		t.Fatal(err)
-	}
-	// 3 modes (the repeat run is a gate, not a row).
-	if len(rows) != 3 {
-		t.Fatalf("%d rows, want 3", len(rows))
-	}
-	for _, row := range rows {
-		if row.Steps <= 0 || row.WrittenBytes <= 0 || row.VersionSHA == "" || row.VisibleSHA == "" {
-			t.Errorf("%s: empty cell: %+v", row.Mode, row)
+	rows := reclaimConfig{depth: 16}.drive()
+	for _, mode := range []string{"swept", "unswept", "durable"} {
+		if num(t, rows, mode, "steps") <= 0 || num(t, rows, mode, "written_bytes") <= 0 {
+			t.Errorf("%s: empty cell", mode)
 		}
-		switch row.Mode {
-		case "swept", "durable":
-			// The rework profile erases chains every round; barrier
-			// sweeps with grace 0 must physically delete them.
-			if row.ReclaimedVersions <= 0 || row.ReclaimedBytes <= 0 {
-				t.Errorf("%s: sweeps reclaimed nothing: %+v", row.Mode, row)
-			}
-			if row.Ratio >= 1 {
-				t.Errorf("%s: live/written ratio %.4f not reduced", row.Mode, row.Ratio)
-			}
-			if row.Mode == "durable" && !row.Recovered {
-				t.Error("durable cell did not record recovery")
-			}
-			if row.Mode == "swept" && row.StatsSHA == "" {
-				t.Error("swept cell missing stats fingerprint")
-			}
-		case "unswept":
-			if row.ReclaimedVersions != 0 {
-				t.Errorf("unswept: reclaimed %d versions with sweeps off", row.ReclaimedVersions)
-			}
-		default:
-			t.Errorf("unknown mode %q", row.Mode)
+		// Sweeping must never change the visible version map.
+		if digest(t, rows, mode, "visible_sha256") != digest(t, rows, "swept", "visible_sha256") {
+			t.Errorf("%s: visible fingerprint diverged across modes", mode)
 		}
-		// expReclaim already fataled on any visible-map divergence;
-		// re-assert the modulo-reclaimed contract on the emitted rows.
-		if row.VisibleSHA != rows[0].VisibleSHA {
-			t.Errorf("%s: visible fingerprint diverged across modes", row.Mode)
+		_, hasStats := find(rows, mode, "stats_sha256")
+		if hasStats == (mode == "durable") {
+			t.Errorf("%s: stats fingerprint presence wrong", mode)
 		}
 	}
-	md, err := os.ReadFile(summaryPath)
-	if err != nil {
-		t.Fatal(err)
+	for _, mode := range []string{"swept", "durable"} {
+		// The rework profile erases chains every round; barrier sweeps
+		// with grace 0 must physically delete them.
+		if num(t, rows, mode, "reclaimed_versions") <= 0 || num(t, rows, mode, "reclaimed_bytes") <= 0 {
+			t.Errorf("%s: sweeps reclaimed nothing", mode)
+		}
+		if num(t, rows, mode, "ratio") >= 1 {
+			t.Errorf("%s: live/written ratio %v not reduced", mode, num(t, rows, mode, "ratio"))
+		}
 	}
-	if !strings.Contains(string(md), "### E17 reclaim") {
-		t.Errorf("summary missing E17 section:\n%s", md)
+	if num(t, rows, "unswept", "reclaimed_versions") != 0 || num(t, rows, "unswept", "ratio") != 1 {
+		t.Error("unswept: reclaimed with sweeps off")
+	}
+	growth := num(t, rows, "swept", "peak_growth")
+	if want := num(t, rows, "swept/r02", "ratio") / num(t, rows, "swept/r01", "ratio"); growth != want {
+		t.Errorf("peak_growth = %v, want second/first checkpoint %v", growth, want)
 	}
 }
 
@@ -327,33 +207,6 @@ func TestVisibleMapSHA(t *testing.T) {
 	}
 }
 
-// TestUsage pins the ordered -h listing: known flags come out in
-// flagOrder and unknown ones are appended rather than dropped.
-func TestUsage(t *testing.T) {
-	var buf bytes.Buffer
-	out := flag.CommandLine.Output()
-	flag.CommandLine.SetOutput(&buf)
-	defer flag.CommandLine.SetOutput(out)
-	usage()
-	if !strings.Contains(buf.String(), "usage: benchtool") {
-		t.Errorf("usage output missing header:\n%s", buf.String())
-	}
-}
-
-// TestGateFailRecords pins the deferred-exit contract: gateFail records
-// and returns, so writers registered after the exit check still flush.
-func TestGateFailRecords(t *testing.T) {
-	benchGateErrs = nil
-	defer func() { benchGateErrs = nil }()
-	gateFail("synthetic gate: %d < %d", 1, 2)
-	if len(benchGateErrs) != 1 || !strings.Contains(benchGateErrs[0], "synthetic gate: 1 < 2") {
-		t.Fatalf("benchGateErrs = %v", benchGateErrs)
-	}
-	// appendSummary with no -summary file is a no-op, not an error.
-	summaryPath = ""
-	appendSummary("### nothing\n")
-}
-
 func TestStatsSHAFiltersMemoNamespace(t *testing.T) {
 	a, b := obs.NewRegistry(), obs.NewRegistry()
 	a.Inc("task.step.issue")
@@ -366,22 +219,6 @@ func TestStatsSHAFiltersMemoNamespace(t *testing.T) {
 	b.Inc("task.step.issue")
 	if statsSHA(a) == statsSHA(b) {
 		t.Error("non-memo counter change not reflected in the fingerprint")
-	}
-}
-
-func TestParseIntList(t *testing.T) {
-	got := parseIntList(" 1, 8 ,64,")
-	want := []int{1, 8, 64}
-	if len(got) != len(want) {
-		t.Fatalf("parseIntList: %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("parseIntList: %v, want %v", got, want)
-		}
-	}
-	if max64(3, 5) != 5 || max64(5, 3) != 5 {
-		t.Error("max64 broken")
 	}
 }
 

@@ -14,9 +14,9 @@ package main
 //     invisible-past-grace versions and nothing else (version numbers
 //     are never reused, so the visible lines cannot shift);
 //   - bounded: the live/written ratio's peak over the soak's second
-//     half must not exceed its first-half peak (-rcgrowth), and
-//     optionally the final ratio stays under a ceiling (-rcmaxratio;
-//     CI ratchets the recorded value through scripts/reclaimgate.sh);
+//     half must not exceed its first-half peak by more than 5%, and the
+//     final ratio stays under a ratcheted ceiling (both in
+//     scripts/gates.txt);
 //   - recovery: a WAL-armed swept run, killed and replayed through
 //     core.Recover, converges to the pre-crash fingerprint — reclaim
 //     records replay idempotently (the kill-at-every-byte matrix covers
@@ -24,61 +24,52 @@ package main
 
 import (
 	"crypto/sha256"
-	"encoding/json"
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"strings"
-	"time"
 
 	"papyrus/internal/core"
 	"papyrus/internal/obs"
 	"papyrus/internal/workload"
 )
 
-var (
-	rcSeed     int64
-	rcSessions int
-	rcDepth    int
-	rcFanout   int
-	rcWorkers  int
-	rcSweep    int
-	rcBudget   int
-	rcGrowth   float64
-	rcMaxRatio float64
-	rcOut      string
-)
+// reclaimConfig fixes the cells of one E17 run: the rework profile at
+// seed 7, 4 sessions, fanout 4 and 4 workers, to the given depth
+// (rounds = depth/8), sweeping the whole store at every round barrier.
+type reclaimConfig struct{ depth int }
 
-// reclaimRow is one mode's cell of BENCH_reclaim.json.
-type reclaimRow struct {
-	Mode     string `json:"mode"` // "swept", "unswept", or "durable"
-	Seed     int64  `json:"seed"`
-	Sessions int    `json:"sessions"`
-	Depth    int    `json:"depth"`
-	Rounds   int    `json:"rounds"`
-	Steps    int64  `json:"steps"`
-	// WrittenBytes is every payload byte ever stored; LiveBytes is what
-	// the store still holds at the end. Ratio = live/written is the
-	// bounded-memory figure of merit; Checkpoints samples it at every
-	// round barrier (after the sweep, when one ran).
-	WrittenBytes int64     `json:"written_bytes"`
-	LiveBytes    int64     `json:"live_bytes"`
-	Ratio        float64   `json:"ratio"`
-	Checkpoints  []float64 `json:"checkpoints,omitempty"`
-	// ReclaimedVersions/Bytes are the oct.reclaim.* counters: how much
-	// the sweeps physically deleted.
-	ReclaimedVersions int64   `json:"reclaimed_versions"`
-	ReclaimedBytes    int64   `json:"reclaimed_bytes"`
-	WallMS            float64 `json:"wall_ms"`
-	StatsSHA          string  `json:"stats_sha256,omitempty"`
-	VersionSHA        string  `json:"version_sha256"`
-	// VisibleSHA fingerprints only the visible version-map lines — the
-	// sweep-invariant projection the modulo-reclaimed gate compares.
-	VisibleSHA string `json:"visible_sha256"`
-	// Recovered is set on the durable cell: the crash-replayed store
-	// matched the pre-crash fingerprint.
-	Recovered bool `json:"recovered,omitempty"`
+// Cells swept, unswept and durable are the three modes; swept/rNN is the
+// swept run's live/written ratio at round barrier NN. written_bytes is
+// every payload byte ever stored and live_bytes what the store still
+// holds; ratio = live/written is the bounded-memory figure of merit.
+// reclaimed_* are the oct.reclaim.* counters. peak_growth (swept) is the
+// ratio's peak over the soak's second half divided by its first-half
+// peak. visible_sha256 fingerprints only the visible version-map lines,
+// the projection sweeping must never change.
+var reclaimExp = &experiment{
+	title: "E17 reclaim: bounded-memory soak under deep rework",
+	metrics: []metric{
+		{"rounds", "1"}, {"steps", "1"}, {"wall_ms", "ms"}, {"steps_per_s", "1/s"},
+		{"allocs_per_step", "1"}, {"bytes_per_step", "B"},
+		{"written_bytes", "B"}, {"live_bytes", "B"}, {"ratio", "1"}, {"peak_growth", "x"},
+		{"reclaimed_versions", "1"}, {"reclaimed_bytes", "B"},
+		{"stats_sha256", "sha256"}, {"version_sha256", "sha256"}, {"visible_sha256", "sha256"},
+	},
 }
+
+// reclaimCell is one measured soak.
+type reclaimCell struct {
+	d                                 drive
+	rounds                            int
+	steps, written, live              int64
+	reclaimedVersions, reclaimedBytes int64
+	checkpoints                       []float64
+	stats, versions, visible          string
+}
+
+func (c reclaimCell) ratio() float64 { return float64(c.live) / float64(c.written) }
 
 // visibleMapSHA fingerprints the visible lines of a version map — the
 // projection physical reclamation must never change.
@@ -95,19 +86,19 @@ func visibleMapSHA(text string) string {
 
 // runReclaimCell drives one deep-rework soak. sweep arms barrier sweeps;
 // durable arms a WAL in a temp dir, then crashes and recovers from it.
-func runReclaimCell(sweep, durable bool) reclaimRow {
+func runReclaimCell(cfg reclaimConfig, sweep, durable bool) reclaimCell {
 	w, err := workload.Generate(workload.Spec{
 		Profile:  "rework",
-		Seed:     rcSeed,
-		Sessions: rcSessions,
-		Depth:    rcDepth,
-		Fanout:   rcFanout,
+		Seed:     7,
+		Sessions: 4,
+		Depth:    cfg.depth,
+		Fanout:   4,
 	})
 	must(err)
 	reg := obs.NewRegistry()
 	base := core.Config{
 		Nodes:            4,
-		Workers:          rcWorkers,
+		Workers:          4,
 		DisableInference: true,
 		Metrics:          reg,
 		ReclaimGrace:     0,
@@ -118,13 +109,13 @@ func runReclaimCell(sweep, durable bool) reclaimRow {
 		must(err)
 		base.Durability = &core.DurabilityConfig{Dir: walDir, FsyncEvery: 64, SegmentBytes: 1 << 20}
 	}
-	cfg := w.CoreConfig(base)
-	sys, err := core.New(cfg)
+	ccfg := w.CoreConfig(base)
+	sys, err := core.New(ccfg)
 	must(err)
 
-	opts := workload.Options{ForceRounds: true, SweepBudget: rcBudget}
+	opts := workload.Options{ForceRounds: true}
 	if sweep {
-		opts.SweepEveryRounds = rcSweep
+		opts.SweepEveryRounds = 1
 	}
 	var checkpoints []float64
 	opts.OnRound = func(round int) error {
@@ -134,161 +125,99 @@ func runReclaimCell(sweep, durable bool) reclaimRow {
 		}
 		return nil
 	}
-
-	mode := "unswept"
-	if sweep {
-		mode = "swept"
-	}
-	if durable {
-		mode = "durable"
-	}
-	start := time.Now()
-	must(workload.RunInProcess(sys, w, opts))
-	wall := time.Since(start)
+	d, err := measure(func() error { return workload.RunInProcess(sys, w, opts) })
+	must(err)
 
 	vm := sys.Store.VersionMapText()
-	written := sys.Store.TotalWrittenBytes()
-	row := reclaimRow{
-		Mode:              mode,
-		Seed:              rcSeed,
-		Sessions:          rcSessions,
-		Depth:             rcDepth,
-		Rounds:            w.Rounds,
-		Steps:             reg.Counter("task.step.complete"),
-		WrittenBytes:      written,
-		LiveBytes:         sys.Store.TotalBytes(),
-		Checkpoints:       checkpoints,
-		ReclaimedVersions: reg.Counter("oct.reclaim.versions"),
-		ReclaimedBytes:    reg.Counter("oct.reclaim.bytes"),
-		WallMS:            float64(wall.Microseconds()) / 1000,
-		VersionSHA:        fmt.Sprintf("%x", sha256.Sum256([]byte(vm))),
-		VisibleSHA:        visibleMapSHA(vm),
-	}
-	if written > 0 {
-		row.Ratio = float64(row.LiveBytes) / float64(written)
+	c := reclaimCell{
+		d:                 d,
+		rounds:            w.Rounds,
+		steps:             reg.Counter("task.step.complete"),
+		written:           sys.Store.TotalWrittenBytes(),
+		live:              sys.Store.TotalBytes(),
+		reclaimedVersions: reg.Counter("oct.reclaim.versions"),
+		reclaimedBytes:    reg.Counter("oct.reclaim.bytes"),
+		checkpoints:       checkpoints,
+		versions:          fmt.Sprintf("%x", sha256.Sum256([]byte(vm))),
+		visible:           visibleMapSHA(vm),
 	}
 	// The durable registry carries WAL counters whose grouping depends
 	// on fsync batching; only the volatile cells contribute the
 	// deterministic stats fingerprint.
 	if !durable {
-		row.StatsSHA = statsSHA(reg)
-	}
-	if durable {
-		// Kill (no graceful drain beyond the commit-before-ack contract)
-		// and replay the full log: the recovered store must converge on
-		// the pre-crash content, reclaim records included.
-		preCrash := sys.Store.Fingerprint()
+		c.stats = statsSHA(reg)
 		must(sys.Close())
-		rec, _, err := core.Recover(cfg, "")
-		must(err)
-		row.Recovered = rec.Store.Fingerprint() == preCrash
-		if !row.Recovered {
-			log.Fatalf("reclaim: recovery diverged (recovered %s, pre-crash %s)",
-				rec.Store.Fingerprint()[:12], preCrash[:12])
-		}
-		must(rec.Close())
-		must(os.RemoveAll(walDir))
-	} else {
-		must(sys.Close())
+		return c
 	}
-	return row
+	// Kill (no graceful drain beyond the commit-before-ack contract)
+	// and replay the full log: the recovered store must converge on
+	// the pre-crash content, reclaim records included.
+	preCrash := sys.Store.Fingerprint()
+	must(sys.Close())
+	rec, _, err := core.Recover(ccfg, "")
+	must(err)
+	if got := rec.Store.Fingerprint(); got != preCrash {
+		log.Fatalf("reclaim: recovery diverged (recovered %s, pre-crash %s)", got[:12], preCrash[:12])
+	}
+	must(rec.Close())
+	must(os.RemoveAll(walDir))
+	return c
 }
 
-// expReclaim is E17. Fingerprint and recovery divergence are hard
-// failures; the ratio gates are soft (-rcgrowth, -rcmaxratio) so CI's
-// summary and table still flush.
-func expReclaim() {
+// drive runs E17. Fingerprint and recovery divergence are hard
+// failures; the ratio bounds are gates.
+func (cfg reclaimConfig) drive() []Row {
 	fmt.Println("## E17: bounded-memory soak — incremental reclamation under deep rework")
-	fmt.Printf("(seed %d, %d sessions, depth %d, fanout %d, sweep every %d round(s), budget %d)\n",
-		rcSeed, rcSessions, rcDepth, rcFanout, rcSweep, rcBudget)
-	fmt.Println("mode    | rounds | steps | written B | live B | ratio | reclaimed | gates")
+	fmt.Printf("(seed 7, 4 sessions, depth %d, fanout 4, sweep every 1 round(s), budget 0)\n", cfg.depth)
 
-	swept := runReclaimCell(true, false)
-	again := runReclaimCell(true, false)
-	if again.VersionSHA != swept.VersionSHA || again.StatsSHA != swept.StatsSHA {
+	swept := runReclaimCell(cfg, true, false)
+	again := runReclaimCell(cfg, true, false)
+	if again.versions != swept.versions || again.stats != swept.stats {
 		log.Fatalf("reclaim: repeat run diverged (versions %s vs %s, stats %s vs %s)",
-			again.VersionSHA[:12], swept.VersionSHA[:12],
-			again.StatsSHA[:12], swept.StatsSHA[:12])
+			again.versions[:12], swept.versions[:12], again.stats[:12], swept.stats[:12])
 	}
-	unswept := runReclaimCell(false, false)
-	if unswept.VisibleSHA != swept.VisibleSHA {
+	unswept := runReclaimCell(cfg, false, false)
+	if unswept.visible != swept.visible {
 		log.Fatalf("reclaim: sweep changed the visible version map (%s vs %s)",
-			swept.VisibleSHA[:12], unswept.VisibleSHA[:12])
+			swept.visible[:12], unswept.visible[:12])
 	}
-	if unswept.Steps != swept.Steps {
-		log.Fatalf("reclaim: sweep changed completed steps (%d vs %d)",
-			swept.Steps, unswept.Steps)
+	if unswept.steps != swept.steps {
+		log.Fatalf("reclaim: sweep changed completed steps (%d vs %d)", swept.steps, unswept.steps)
 	}
-	durable := runReclaimCell(true, true)
-	if durable.VersionSHA != swept.VersionSHA {
+	durable := runReclaimCell(cfg, true, true)
+	if durable.versions != swept.versions {
 		log.Fatalf("reclaim: WAL-armed run diverged from volatile (%s vs %s)",
-			durable.VersionSHA[:12], swept.VersionSHA[:12])
+			durable.versions[:12], swept.versions[:12])
 	}
 
-	// Bounded-memory gates on the swept reference. The ratio oscillates
-	// by design — every fourth OLAP chain is kept, so it steps up when
-	// one lands — so "non-growing" compares the peak over the soak's
-	// second half against the peak over its first half (both halves must
-	// contain kept rounds: depth >= 128).
-	n := len(swept.Checkpoints)
-	if rcGrowth > 0 && n >= 2 {
-		peak := func(cs []float64) float64 {
-			m := cs[0]
-			for _, c := range cs[1:] {
-				if c > m {
-					m = c
-				}
-			}
-			return m
+	rs := rowSet{exp: reclaimExp}
+	for _, m := range []struct {
+		cell string
+		c    reclaimCell
+	}{{"swept", swept}, {"unswept", unswept}, {"durable", durable}} {
+		rs.add(m.cell, "rounds", float64(m.c.rounds))
+		rs.addDrive(m.cell, m.c.d, m.c.steps)
+		rs.add(m.cell, "written_bytes", float64(m.c.written))
+		rs.add(m.cell, "live_bytes", float64(m.c.live))
+		rs.add(m.cell, "ratio", m.c.ratio())
+		rs.add(m.cell, "reclaimed_versions", float64(m.c.reclaimedVersions))
+		rs.add(m.cell, "reclaimed_bytes", float64(m.c.reclaimedBytes))
+		if m.c.stats != "" {
+			rs.digest(m.cell, "stats_sha256", m.c.stats)
 		}
-		first, second := peak(swept.Checkpoints[:n/2]), peak(swept.Checkpoints[n/2:])
-		if second > first*rcGrowth {
-			gateFail("reclaim gate: live/written ratio peak grew %.4f -> %.4f (limit %.2fx)",
-				first, second, rcGrowth)
-		}
+		rs.digest(m.cell, "version_sha256", m.c.versions)
+		rs.digest(m.cell, "visible_sha256", m.c.visible)
 	}
-	if rcMaxRatio > 0 && swept.Ratio > rcMaxRatio {
-		gateFail("reclaim gate: final live/written ratio %.4f exceeds ceiling %.4f",
-			swept.Ratio, rcMaxRatio)
+	// The ratio oscillates by design — every fourth OLAP chain is kept,
+	// so it steps up when one lands — so "non-growing" compares the peak
+	// over the soak's second half against the peak over its first half
+	// (both halves contain kept rounds only at depth >= 128).
+	if n := len(swept.checkpoints); n >= 2 {
+		first, second := slices.Max(swept.checkpoints[:n/2]), slices.Max(swept.checkpoints[n/2:])
+		rs.add("swept", "peak_growth", second/first)
 	}
-
-	rows := []reclaimRow{swept, unswept, durable}
-	for _, r := range rows {
-		gate := "ok"
-		if r.Mode == "durable" {
-			gate = "ok (recovered)"
-		}
-		fmt.Printf("%-7s | %6d | %5d | %9d | %6d | %.4f | %9d | %s\n",
-			r.Mode, r.Rounds, r.Steps, r.WrittenBytes, r.LiveBytes, r.Ratio,
-			r.ReclaimedVersions, gate)
+	for i, r := range swept.checkpoints {
+		rs.add(fmt.Sprintf("swept/r%02d", i+1), "ratio", r)
 	}
-
-	f, err := os.Create(rcOut)
-	must(err)
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	must(enc.Encode(rows))
-	must(f.Close())
-	fmt.Printf("wrote %d rows to %s\n", len(rows), rcOut)
-	// A stable line for scripts/reclaimgate.sh to ratchet on: the worst
-	// final ratio across every sweep-enabled cell.
-	maxRatio := 0.0
-	for _, r := range rows {
-		if r.Mode != "unswept" && r.Ratio > maxRatio {
-			maxRatio = r.Ratio
-		}
-	}
-	fmt.Printf("reclaim: max live/written ratio = %.4f\n", maxRatio)
-
-	var md strings.Builder
-	md.WriteString("### E17 reclaim: bounded-memory soak under deep rework\n\n")
-	md.WriteString("| mode | rounds | steps | written B | live B | ratio | reclaimed versions | reclaimed B |\n")
-	md.WriteString("|:---|---:|---:|---:|---:|---:|---:|---:|\n")
-	for _, r := range rows {
-		fmt.Fprintf(&md, "| %s | %d | %d | %d | %d | %.4f | %d | %d |\n",
-			r.Mode, r.Rounds, r.Steps, r.WrittenBytes, r.LiveBytes, r.Ratio,
-			r.ReclaimedVersions, r.ReclaimedBytes)
-	}
-	md.WriteString("\n")
-	appendSummary(md.String())
+	return rs.rows
 }

@@ -13,12 +13,11 @@ package main
 
 import (
 	"crypto/sha256"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"log"
 	"net"
 	"net/http"
-	"os"
 	"strings"
 	"sync"
 	"time"
@@ -28,55 +27,41 @@ import (
 	"papyrus/internal/server"
 )
 
-var (
-	serveSessions int
-	serveShards   int
-	serveWorkers  int
-	serveTenants  int
-	serveRate     float64
-	serveBurst    float64
-	serveQueue    int
-	serveMin      float64
-	serveP99      float64
-	serveOut      string
-)
-
-// serveRow is the E13 result table (one row per run, plus the JSON file
-// carries the per-request-class latency breakdown).
-type serveRow struct {
-	Sessions int `json:"sessions"`
-	Shards   int `json:"shards"`
-	Workers  int `json:"workers"`
-	Tenants  int `json:"tenants"`
-	// Steps and StepsPerSec measure engine work completed through the
-	// wire; WallMS is the whole drive.
-	Steps       int64   `json:"steps"`
-	WallMS      float64 `json:"wall_ms"`
-	StepsPerSec float64 `json:"steps_per_sec"`
-	// TaskP50MS/TaskP99MS are the task-submission wire latencies — the
-	// full path: admission queue, engine, JSON encode.
-	TaskP50MS float64 `json:"task_p50_ms"`
-	TaskP99MS float64 `json:"task_p99_ms"`
-	// AllP50MS/AllP99MS cover every request class.
-	AllP50MS float64 `json:"all_p50_ms"`
-	AllP99MS float64 `json:"all_p99_ms"`
-	// Throttled and Shed count admission-control rejections the clients
-	// retried through; Retries is the client-side retry total.
-	Throttled int64 `json:"throttled"`
-	Shed      int64 `json:"shed"`
-	Retries   int64 `json:"retries"`
-	// VersionSHA fingerprints the concatenated per-shard version maps:
-	// the workload is deterministic, so repeated runs must match.
-	VersionSHA string `json:"version_sha256"`
+// serveConfig fixes the cells of one E13 run: sessions spread over 16
+// tenants and 4 engine shards, 8 admission workers, and a queue of 1024
+// before load shedding.
+type serveConfig struct {
+	sessions    int
+	rate, burst float64 // per-tenant token bucket; rate 0 = unlimited
 }
 
-// expServe is E13. Latency is measured client-side around each wire
+const serveShards, serveTenants = 4, 16
+
+// Cell "run" is the whole drive: engine steps completed through the
+// wire, the admission rejections clients retried through, and the
+// per-shard version-map fingerprint. Cells open, import, task, history,
+// close and all are request classes with client-side wire latency; the
+// task class covers the full path (admission queue, engine, encode).
+var serveExp = &experiment{
+	title: "E13 serve: wire-path load",
+	metrics: []metric{
+		{"steps", "1"}, {"wall_ms", "ms"}, {"steps_per_s", "1/s"},
+		{"allocs_per_step", "1"}, {"bytes_per_step", "B"},
+		{"throttled", "1"}, {"shed", "1"}, {"retries", "1"},
+		{"p50_ms", "ms"}, {"p99_ms", "ms"}, {"count", "1"},
+		{"version_sha256", "sha256"},
+	},
+}
+
+var serveClasses = []string{"open", "import", "task", "history", "close", "all"}
+
+// drive runs E13. Latency is measured client-side around each wire
 // call and recorded in microsecond histograms; quantiles come from
 // obs.HistogramSnapshot.Quantile.
-func expServe() {
+func (cfg serveConfig) drive() []Row {
 	fmt.Println("## E13: served-system load — concurrent designer sessions through the papyrusd wire path")
 	fmt.Printf("(%d sessions over %d tenants, %d shards, %d admission workers; latency is wall-clock, fingerprint is deterministic)\n",
-		serveSessions, serveTenants, serveShards, serveWorkers)
+		cfg.sessions, serveTenants, serveShards, 8)
 
 	reg := obs.NewRegistry()
 	srv, err := server.New(server.Config{
@@ -85,10 +70,10 @@ func expServe() {
 		DisableInference: true,
 		ExtraTemplates:   map[string]string{"Fanout4": fanoutTemplate},
 		Admission: server.AdmissionConfig{
-			RatePerSec: serveRate,
-			Burst:      serveBurst,
-			MaxQueue:   serveQueue,
-			Workers:    serveWorkers,
+			RatePerSec: cfg.rate,
+			Burst:      cfg.burst,
+			MaxQueue:   1024,
+			Workers:    8,
 		},
 		Metrics: reg,
 	})
@@ -103,8 +88,8 @@ func expServe() {
 	lat := obs.NewRegistry()
 	usBuckets := []int64{100, 200, 400, 800, 1600, 3200, 6400, 12800, 25600, 51200,
 		102400, 204800, 409600, 819200, 1638400, 3276800, 6553600, 13107200, 26214400}
-	for _, h := range []string{"e13.open.us", "e13.import.us", "e13.task.us", "e13.history.us", "e13.close.us", "e13.all.us"} {
-		lat.SetBuckets(h, usBuckets)
+	for _, c := range serveClasses {
+		lat.SetBuckets("e13."+c+".us", usBuckets)
 	}
 	var retries int64
 	var retriesMu sync.Mutex
@@ -117,89 +102,90 @@ func expServe() {
 		return err
 	}
 
-	start := time.Now()
-	var wg sync.WaitGroup
-	errs := make([]error, serveSessions)
-	for i := 0; i < serveSessions; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			cl := client.New(base)
-			// The load generator must finish every session even under a
-			// deliberately tight -serverate: give throttled submits a deep
-			// retry budget with a trimmed backoff.
-			cl.RetryBudget = 100
-			cl.Backoff = func(hint time.Duration) {
-				retriesMu.Lock()
-				retries++
-				retriesMu.Unlock()
-				time.Sleep(hint / 4) // trimmed backoff keeps the drive moving
-			}
-			tenant := fmt.Sprintf("t%02d", i%serveTenants)
-			ns := fmt.Sprintf("/e13/%s/s%d", tenant, i)
-			var info server.SessionInfo
-			run := func() error {
-				if err := timed("e13.open.us", func() error {
-					var err error
-					info, err = cl.OpenSession(tenant, fmt.Sprintf("e13-%d", i))
-					return err
-				}); err != nil {
-					return err
+	errs := make([]error, cfg.sessions)
+	d, err := measure(func() error {
+		var wg sync.WaitGroup
+		for i := 0; i < cfg.sessions; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				cl := client.New(base)
+				// The load generator must finish every session even under
+				// the serve-throttled rate limit: give throttled submits a
+				// deep retry budget with a trimmed backoff.
+				cl.RetryBudget = 100
+				cl.Backoff = func(hint time.Duration) {
+					retriesMu.Lock()
+					retries++
+					retriesMu.Unlock()
+					time.Sleep(hint / 4) // trimmed backoff keeps the drive moving
 				}
-				inputs := map[string]string{}
-				for _, n := range []string{"A", "B", "C", "D"} {
-					name := ns + "/" + strings.ToLower(n)
-					if err := timed("e13.import.us", func() error {
-						_, err := cl.Import(info.ID, server.ImportRequest{Name: name, Kind: "shifter", Width: 4})
+				tenant := fmt.Sprintf("t%02d", i%serveTenants)
+				ns := fmt.Sprintf("/e13/%s/s%d", tenant, i)
+				var info server.SessionInfo
+				run := func() error {
+					if err := timed("e13.open.us", func() error {
+						var err error
+						info, err = cl.OpenSession(tenant, fmt.Sprintf("e13-%d", i))
 						return err
 					}); err != nil {
 						return err
 					}
-					inputs[n] = name
-				}
-				var steps int
-				if err := timed("e13.task.us", func() error {
-					rec, err := cl.SubmitTask(info.ID, server.TaskRequest{
-						Task:   "Fanout4",
-						Inputs: inputs,
-						Outputs: map[string]string{
-							"O1": ns + "/o1", "O2": ns + "/o2", "O3": ns + "/o3", "O4": ns + "/o4",
-						},
-					})
-					if err != nil {
+					inputs := map[string]string{}
+					for _, n := range []string{"A", "B", "C", "D"} {
+						name := ns + "/" + strings.ToLower(n)
+						if err := timed("e13.import.us", func() error {
+							_, err := cl.Import(info.ID, server.ImportRequest{Name: name, Kind: "shifter", Width: 4})
+							return err
+						}); err != nil {
+							return err
+						}
+						inputs[n] = name
+					}
+					var steps int
+					if err := timed("e13.task.us", func() error {
+						rec, err := cl.SubmitTask(info.ID, server.TaskRequest{
+							Task:   "Fanout4",
+							Inputs: inputs,
+							Outputs: map[string]string{
+								"O1": ns + "/o1", "O2": ns + "/o2", "O3": ns + "/o3", "O4": ns + "/o4",
+							},
+						})
+						if err != nil {
+							return err
+						}
+						steps = len(rec.Steps)
+						return nil
+					}); err != nil {
 						return err
 					}
-					steps = len(rec.Steps)
-					return nil
-				}); err != nil {
-					return err
-				}
-				if steps != 4 {
-					return fmt.Errorf("session %d: %d steps recorded, want 4", i, steps)
-				}
-				if err := timed("e13.history.us", func() error {
-					recs, err := cl.History(info.ID)
-					if err != nil {
+					if steps != 4 {
+						return fmt.Errorf("%d steps recorded, want 4", steps)
+					}
+					if err := timed("e13.history.us", func() error {
+						recs, err := cl.History(info.ID)
+						if err != nil {
+							return err
+						}
+						if len(recs) != 1 {
+							return fmt.Errorf("%d history records, want 1", len(recs))
+						}
+						return nil
+					}); err != nil {
 						return err
 					}
-					if len(recs) != 1 {
-						return fmt.Errorf("session %d: %d history records, want 1", i, len(recs))
-					}
-					return nil
-				}); err != nil {
-					return err
+					return timed("e13.close.us", func() error { return cl.CloseSession(info.ID) })
 				}
-				return timed("e13.close.us", func() error { return cl.CloseSession(info.ID) })
-			}
-			errs[i] = run()
-		}(i)
-	}
-	wg.Wait()
-	wall := time.Since(start)
-	for i, err := range errs {
-		if err != nil {
-			log.Fatalf("serve: session %d failed: %v", i, err)
+				if err := run(); err != nil {
+					errs[i] = fmt.Errorf("session %d: %w", i, err)
+				}
+			}(i)
 		}
+		wg.Wait()
+		return errors.Join(errs...)
+	})
+	if err != nil {
+		log.Fatalf("serve: %v", err)
 	}
 
 	// Fingerprint the per-shard version maps, shard order.
@@ -210,72 +196,22 @@ func expServe() {
 	must(httpSrv.Close())
 	must(srv.Close())
 
-	snap := lat.Snapshot()
-	q := func(h string, quantile float64) float64 {
-		return float64(snap.Histograms[h].Quantile(quantile)) / 1000
-	}
 	steps := reg.Counter("task.step.complete")
-	row := serveRow{
-		Sessions:    serveSessions,
-		Shards:      serveShards,
-		Workers:     serveWorkers,
-		Tenants:     serveTenants,
-		Steps:       steps,
-		WallMS:      float64(wall.Microseconds()) / 1000,
-		StepsPerSec: float64(steps) / wall.Seconds(),
-		TaskP50MS:   q("e13.task.us", 0.50),
-		TaskP99MS:   q("e13.task.us", 0.99),
-		AllP50MS:    q("e13.all.us", 0.50),
-		AllP99MS:    q("e13.all.us", 0.99),
-		Throttled:   reg.Counter("server.admit.throttle"),
-		Shed:        reg.Counter("server.admit.shed"),
-		Retries:     retries,
-		VersionSHA:  fmt.Sprintf("%x", sha256.Sum256([]byte(fp.String()))),
+	if want := int64(cfg.sessions) * 4; steps != want {
+		log.Fatalf("serve: %d steps completed, want %d (every session must run its 4-step task)", steps, want)
 	}
-
-	fmt.Println("sessions | steps | wall ms | steps/sec | task p50 ms | task p99 ms | all p99 ms | throttled | shed | retries | versions")
-	fmt.Printf("%8d | %5d | %7.1f | %9.1f | %11.2f | %11.2f | %10.2f | %9d | %4d | %7d | %s\n",
-		row.Sessions, row.Steps, row.WallMS, row.StepsPerSec,
-		row.TaskP50MS, row.TaskP99MS, row.AllP99MS,
-		row.Throttled, row.Shed, row.Retries, row.VersionSHA[:12])
-	fmt.Println("request class | p50 ms | p99 ms | count")
-	for _, h := range []string{"e13.open.us", "e13.import.us", "e13.task.us", "e13.history.us", "e13.close.us"} {
-		hs := snap.Histograms[h]
-		fmt.Printf("%13s | %6.2f | %6.2f | %5d\n",
-			strings.TrimSuffix(strings.TrimPrefix(h, "e13."), ".us"), q(h, 0.50), q(h, 0.99), hs.Count)
+	rs := rowSet{exp: serveExp}
+	rs.addDrive("run", d, steps)
+	rs.add("run", "throttled", float64(reg.Counter("server.admit.throttle")))
+	rs.add("run", "shed", float64(reg.Counter("server.admit.shed")))
+	rs.add("run", "retries", float64(retries))
+	rs.digest("run", "version_sha256", fmt.Sprintf("%x", sha256.Sum256([]byte(fp.String()))))
+	snap := lat.Snapshot()
+	for _, c := range serveClasses {
+		h := snap.Histograms["e13."+c+".us"]
+		rs.add(c, "p50_ms", float64(h.Quantile(0.50))/1000)
+		rs.add(c, "p99_ms", float64(h.Quantile(0.99))/1000)
+		rs.add(c, "count", float64(h.Count))
 	}
-
-	f, err := os.Create(serveOut)
-	must(err)
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	must(enc.Encode([]serveRow{row}))
-	must(f.Close())
-	fmt.Printf("wrote %s\n", serveOut)
-
-	wantSteps := int64(serveSessions) * 4
-	if steps != wantSteps {
-		log.Fatalf("serve gate: %d steps completed, want %d (every session must run its 4-step task)", steps, wantSteps)
-	}
-	if serveMin > 0 && row.StepsPerSec < serveMin {
-		gateFail("serve gate: %.1f steps/sec < required %.1f", row.StepsPerSec, serveMin)
-	}
-	if serveP99 > 0 && row.TaskP99MS > serveP99 {
-		gateFail("serve gate: task p99 %.1f ms > ceiling %.1f ms", row.TaskP99MS, serveP99)
-	}
-
-	var md strings.Builder
-	md.WriteString("### E13 serve: wire-path load\n\n")
-	md.WriteString("| sessions | steps | steps/sec | task p50 ms | task p99 ms | all p99 ms | throttled | shed | retries |\n")
-	md.WriteString("|---:|---:|---:|---:|---:|---:|---:|---:|---:|\n")
-	fmt.Fprintf(&md, "| %d | %d | %.1f | %.2f | %.2f | %.2f | %d | %d | %d |\n\n",
-		row.Sessions, row.Steps, row.StepsPerSec, row.TaskP50MS, row.TaskP99MS,
-		row.AllP99MS, row.Throttled, row.Shed, row.Retries)
-	md.WriteString("| request class | p50 ms | p99 ms | count |\n|:---|---:|---:|---:|\n")
-	for _, h := range []string{"e13.open.us", "e13.import.us", "e13.task.us", "e13.history.us", "e13.close.us"} {
-		fmt.Fprintf(&md, "| %s | %.2f | %.2f | %d |\n",
-			strings.TrimSuffix(strings.TrimPrefix(h, "e13."), ".us"), q(h, 0.50), q(h, 0.99), snap.Histograms[h].Count)
-	}
-	md.WriteString("\n")
-	appendSummary(md.String())
+	return rs.rows
 }

@@ -12,13 +12,10 @@ package main
 
 import (
 	"crypto/sha256"
-	"encoding/json"
 	"fmt"
 	"log"
 	"net"
 	"net/http"
-	"os"
-	"strings"
 	"time"
 
 	"papyrus/internal/client"
@@ -28,44 +25,40 @@ import (
 	"papyrus/internal/workload"
 )
 
-var (
-	wlProfiles string
-	wlSeed     int64
-	wlSessions int
-	wlDepth    int
-	wlFanout   int
-	wlWorkers  string
-	wlMin      float64
-	wlOut      string
-)
+// workloadConfig fixes the cells of one E15 run: each profile at seed 7,
+// 4 sessions, depth 6 and fanout 4, in-process at 1 and 4 workers and
+// over the wire at 4.
+type workloadConfig struct{ profiles []string }
 
-// workloadRow is one (profile, path, workers) cell of BENCH_workload.json.
-type workloadRow struct {
-	Profile  string `json:"profile"`
-	Seed     int64  `json:"seed"`
-	Sessions int    `json:"sessions"`
-	Depth    int    `json:"depth"`
-	Fanout   int    `json:"fanout"`
-	Rounds   int    `json:"rounds"`
-	// Path is "core" (in-process engine) or "wire" (papyrusd loopback).
-	Path    string `json:"path"`
-	Workers int    `json:"workers"`
-	// Steps and StepsPerSec measure completed engine work; WallMS is the
-	// whole drive (host-dependent, excluded from the fingerprints).
-	Steps       int64   `json:"steps"`
-	WallMS      float64 `json:"wall_ms"`
-	StepsPerSec float64 `json:"steps_per_sec"`
-	// StatsSHA is the memo-filtered metrics fingerprint, compared across
-	// the in-process cells only: the wire registry also carries
-	// wall-clock latency histograms. VersionSHA is the final OCT version
-	// map and must be identical across every cell of a profile,
-	// in-process and wire alike.
-	StatsSHA   string `json:"stats_sha256,omitempty"`
-	VersionSHA string `json:"version_sha256"`
+var workloadSpec = workload.Spec{Seed: 7, Sessions: 4, Depth: 6, Fanout: 4}
+
+// Cells are <profile>/core/w<W> (in-process) and <profile>/wire/w<W>
+// (papyrusd loopback); cell <profile> carries best_steps_per_s, the
+// best in-process cell. stats_sha256 is the memo-filtered metrics
+// fingerprint, compared across the in-process cells only: the wire
+// registry also carries wall-clock latency histograms. version_sha256 is
+// the final OCT version map and must be identical across every cell of a
+// profile, in-process and wire alike.
+var workloadExp = &experiment{
+	title: "E15 workload: generated scenario profiles",
+	metrics: []metric{
+		{"rounds", "1"}, {"steps", "1"}, {"wall_ms", "ms"}, {"steps_per_s", "1/s"},
+		{"best_steps_per_s", "1/s"}, {"allocs_per_step", "1"}, {"bytes_per_step", "B"},
+		{"stats_sha256", "sha256"}, {"version_sha256", "sha256"},
+	},
 }
 
+// workloadCell is one measured (profile, path, workers) drive.
+type workloadCell struct {
+	d               drive
+	steps           int64
+	stats, versions string
+}
+
+func (c workloadCell) perSec() float64 { return float64(c.steps) / c.d.wall.Seconds() }
+
 // runWorkloadCore drives one profile in-process at the given worker count.
-func runWorkloadCore(w *workload.Workload, workers int) workloadRow {
+func runWorkloadCore(w *workload.Workload, workers int) workloadCell {
 	reg := obs.NewRegistry()
 	cfg := w.CoreConfig(core.Config{
 		Nodes:            4,
@@ -75,34 +68,23 @@ func runWorkloadCore(w *workload.Workload, workers int) workloadRow {
 	})
 	sys, err := core.New(cfg)
 	must(err)
-	start := time.Now()
-	must(workload.RunInProcess(sys, w, workload.Options{}))
-	wall := time.Since(start)
-	steps := reg.Counter("task.step.complete")
-	row := workloadRow{
-		Profile:     w.Spec.Profile,
-		Seed:        w.Spec.Seed,
-		Sessions:    w.Spec.Sessions,
-		Depth:       w.Spec.Depth,
-		Fanout:      w.Spec.Fanout,
-		Rounds:      w.Rounds,
-		Path:        "core",
-		Workers:     workers,
-		Steps:       steps,
-		WallMS:      float64(wall.Microseconds()) / 1000,
-		StepsPerSec: float64(steps) / wall.Seconds(),
-		StatsSHA:    statsSHA(reg),
-		VersionSHA:  fmt.Sprintf("%x", sha256.Sum256([]byte(sys.Store.VersionMapText()))),
+	d, err := measure(func() error { return workload.RunInProcess(sys, w, workload.Options{}) })
+	must(err)
+	c := workloadCell{
+		d:        d,
+		steps:    reg.Counter("task.step.complete"),
+		stats:    statsSHA(reg),
+		versions: fmt.Sprintf("%x", sha256.Sum256([]byte(sys.Store.VersionMapText()))),
 	}
 	must(sys.Close())
-	return row
+	return c
 }
 
 // runWorkloadWire drives the same profile through a single-shard papyrusd
 // on a loopback listener. One shard means designer i lands on engine
 // session index i exactly as RunInProcess allocates it, so the final
 // version map must match the in-process cells byte for byte.
-func runWorkloadWire(w *workload.Workload, workers int) workloadRow {
+func runWorkloadWire(w *workload.Workload, workers int) workloadCell {
 	reg := obs.NewRegistry()
 	srv, err := server.New(server.Config{
 		Shards:           1,
@@ -124,126 +106,71 @@ func runWorkloadWire(w *workload.Workload, workers int) workloadRow {
 	cl.RetryBudget = 100
 	cl.Backoff = func(hint time.Duration) { time.Sleep(hint / 4) }
 
-	start := time.Now()
-	must(workload.RunWire(cl, w, "wl-"+w.Spec.Profile))
-	wall := time.Since(start)
-	steps := reg.Counter("task.step.complete")
-	row := workloadRow{
-		Profile:     w.Spec.Profile,
-		Seed:        w.Spec.Seed,
-		Sessions:    w.Spec.Sessions,
-		Depth:       w.Spec.Depth,
-		Fanout:      w.Spec.Fanout,
-		Rounds:      w.Rounds,
-		Path:        "wire",
-		Workers:     workers,
-		Steps:       steps,
-		WallMS:      float64(wall.Microseconds()) / 1000,
-		StepsPerSec: float64(steps) / wall.Seconds(),
-		VersionSHA:  fmt.Sprintf("%x", sha256.Sum256([]byte(srv.ShardSystem(0).Store.VersionMapText()))),
+	d, err := measure(func() error { return workload.RunWire(cl, w, "wl-"+w.Spec.Profile) })
+	must(err)
+	c := workloadCell{
+		d:        d,
+		steps:    reg.Counter("task.step.complete"),
+		versions: fmt.Sprintf("%x", sha256.Sum256([]byte(srv.ShardSystem(0).Store.VersionMapText()))),
 	}
 	must(httpSrv.Close())
 	must(srv.Close())
-	return row
+	return c
 }
 
-// expWorkload is E15. Fingerprint divergence is a hard failure; the only
-// soft gate is the -wlmin throughput floor.
-func expWorkload() {
+// drive runs E15: every profile expanded from one seed and driven
+// twice in-process at the first worker count (repeat gate), once at
+// every other worker count (invariance gate), and once over the wire
+// (cross-path gate). Fingerprint divergence is a hard failure.
+func (cfg workloadConfig) drive() []Row {
 	fmt.Println("## E15: generated workloads — every scenario profile, in-process and over the wire")
 	fmt.Printf("(seed %d, %d sessions, depth %d, fanout %d; version fingerprint must match across every cell of a profile)\n",
-		wlSeed, wlSessions, wlDepth, wlFanout)
-	profiles := workload.Profiles()
-	if wlProfiles != "all" && wlProfiles != "" {
-		profiles = nil
-		for _, p := range strings.Split(wlProfiles, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				profiles = append(profiles, p)
-			}
-		}
-	}
-	workerCounts := parseIntList(wlWorkers)
-	if len(workerCounts) == 0 {
-		workerCounts = []int{1}
-	}
-
-	fmt.Println("profile | path | workers | rounds | steps | wall ms | steps/sec | fingerprints")
-	var rows []workloadRow
-	for _, profile := range profiles {
-		w, err := workload.Generate(workload.Spec{
-			Profile:  profile,
-			Seed:     wlSeed,
-			Sessions: wlSessions,
-			Depth:    wlDepth,
-			Fanout:   wlFanout,
-		})
+		workloadSpec.Seed, workloadSpec.Sessions, workloadSpec.Depth, workloadSpec.Fanout)
+	rs := rowSet{exp: workloadExp}
+	for _, profile := range cfg.profiles {
+		spec := workloadSpec
+		spec.Profile = profile
+		w, err := workload.Generate(spec)
 		must(err)
+		put := func(path string, workers int, c workloadCell) {
+			cell := fmt.Sprintf("%s/%s/w%d", profile, path, workers)
+			rs.add(cell, "rounds", float64(w.Rounds))
+			rs.addDrive(cell, c.d, c.steps)
+			if c.stats != "" {
+				rs.digest(cell, "stats_sha256", c.stats)
+			}
+			rs.digest(cell, "version_sha256", c.versions)
+		}
 
 		// Repeat gate: the first worker count runs twice and both
 		// fingerprints must agree before anything else is trusted.
-		ref := runWorkloadCore(w, workerCounts[0])
-		again := runWorkloadCore(w, workerCounts[0])
-		if again.VersionSHA != ref.VersionSHA || again.StatsSHA != ref.StatsSHA {
+		ref := runWorkloadCore(w, 1)
+		again := runWorkloadCore(w, 1)
+		if again.versions != ref.versions || again.stats != ref.stats {
 			log.Fatalf("workload %s: repeat run diverged (versions %s vs %s, stats %s vs %s)",
-				profile, again.VersionSHA[:12], ref.VersionSHA[:12], again.StatsSHA[:12], ref.StatsSHA[:12])
+				profile, again.versions[:12], ref.versions[:12], again.stats[:12], ref.stats[:12])
 		}
-		best := ref
-		cells := []workloadRow{ref}
-		for _, workers := range workerCounts[1:] {
-			row := runWorkloadCore(w, workers)
-			if row.VersionSHA != ref.VersionSHA {
-				log.Fatalf("workload %s: version map diverged at workers=%d (%s vs %s)",
-					profile, workers, row.VersionSHA[:12], ref.VersionSHA[:12])
-			}
-			if row.StatsSHA != ref.StatsSHA {
-				log.Fatalf("workload %s: stats fingerprint diverged at workers=%d (%s vs %s)",
-					profile, workers, row.StatsSHA[:12], ref.StatsSHA[:12])
-			}
-			if row.StepsPerSec > best.StepsPerSec {
-				best = row
-			}
-			cells = append(cells, row)
+		put("core", 1, ref)
+		c := runWorkloadCore(w, 4)
+		if c.versions != ref.versions {
+			log.Fatalf("workload %s: version map diverged at workers=4 (%s vs %s)",
+				profile, c.versions[:12], ref.versions[:12])
 		}
-		wire := runWorkloadWire(w, workerCounts[len(workerCounts)-1])
-		if wire.VersionSHA != ref.VersionSHA {
+		if c.stats != ref.stats {
+			log.Fatalf("workload %s: stats fingerprint diverged at workers=4 (%s vs %s)",
+				profile, c.stats[:12], ref.stats[:12])
+		}
+		put("core", 4, c)
+		wire := runWorkloadWire(w, 4)
+		if wire.versions != ref.versions {
 			log.Fatalf("workload %s: wire version map diverged from in-process (%s vs %s)",
-				profile, wire.VersionSHA[:12], ref.VersionSHA[:12])
+				profile, wire.versions[:12], ref.versions[:12])
 		}
-		if wire.Steps != ref.Steps {
-			log.Fatalf("workload %s: wire completed %d steps, in-process %d", profile, wire.Steps, ref.Steps)
+		if wire.steps != ref.steps {
+			log.Fatalf("workload %s: wire completed %d steps, in-process %d", profile, wire.steps, ref.steps)
 		}
-		cells = append(cells, wire)
-		for _, row := range cells {
-			fp := row.VersionSHA[:12]
-			if row.StatsSHA != "" {
-				fp = row.StatsSHA[:12] + "/" + fp
-			}
-			fmt.Printf("%-11s | %-4s | %7d | %6d | %5d | %7.1f | %9.1f | ok (%s)\n",
-				row.Profile, row.Path, row.Workers, row.Rounds, row.Steps, row.WallMS, row.StepsPerSec, fp)
-		}
-		rows = append(rows, cells...)
-		if wlMin > 0 && best.StepsPerSec < wlMin {
-			gateFail("workload gate: profile %s best cell %.1f steps/sec < required %.1f",
-				profile, best.StepsPerSec, wlMin)
-		}
+		put("wire", 4, wire)
+		rs.add(profile, "best_steps_per_s", max(ref.perSec(), c.perSec()))
 	}
-
-	f, err := os.Create(wlOut)
-	must(err)
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	must(enc.Encode(rows))
-	must(f.Close())
-	fmt.Printf("wrote %d rows to %s\n", len(rows), wlOut)
-
-	var md strings.Builder
-	md.WriteString("### E15 workload: generated scenario profiles\n\n")
-	md.WriteString("| profile | path | workers | rounds | steps | steps/sec |\n")
-	md.WriteString("|:---|:---|---:|---:|---:|---:|\n")
-	for _, r := range rows {
-		fmt.Fprintf(&md, "| %s | %s | %d | %d | %d | %.1f |\n",
-			r.Profile, r.Path, r.Workers, r.Rounds, r.Steps, r.StepsPerSec)
-	}
-	md.WriteString("\n")
-	appendSummary(md.String())
+	return rs.rows
 }

@@ -161,8 +161,8 @@ func (s *Store) ReplayWALRecord(r wal.Record) (applied bool, err error) {
 func (s *Store) applyWALCommit(c walCommit) (bool, error) {
 	applied := false
 	for _, w := range c.Writes {
-		if w.Version < 1 {
-			return applied, fmt.Errorf("oct: WAL write %q has version %d", w.Name, w.Version)
+		if w.Version < 1 || int64(w.Version) > maxRestoreVersion {
+			return applied, fmt.Errorf("oct: WAL write %q has version %d, out of range [1, %d]", w.Name, w.Version, maxRestoreVersion)
 		}
 		codec, ok := codecFor(w.Type)
 		if !ok {

@@ -254,7 +254,7 @@ func TestRecoverTornTailIsPrefix(t *testing.T) {
 
 // TestReplayWALRecordRejectsCorrupt: a record that passed its frame CRC
 // but carries a payload the store cannot apply — undecodable JSON, a
-// version slot below 1, a type without a codec, a payload the codec
+// version slot outside [1, 1<<31], a type without a codec, a payload the codec
 // rejects, a checkpoint that disagrees with the restored content — is
 // an error, never a panic or a silent partial apply. Records of other
 // subsystems are skipped.
@@ -268,6 +268,8 @@ func TestReplayWALRecordRejectsCorrupt(t *testing.T) {
 		{"commit-not-json", wal.Record{Type: wal.RecOCTCommit, Payload: []byte("{")}, "decode WAL commit"},
 		{"commit-version-zero", wal.Record{Type: wal.RecOCTCommit,
 			Payload: []byte(`{"writes":[{"name":"/x","version":0,"type":"text","data":"x"}]}`)}, "has version 0"},
+		{"commit-version-huge", wal.Record{Type: wal.RecOCTCommit,
+			Payload: []byte(`{"writes":[{"name":"/x","version":2147483649,"type":"text","data":"x"}]}`)}, "has version 2147483649"},
 		{"commit-unknown-type", wal.Record{Type: wal.RecOCTCommit,
 			Payload: []byte(`{"writes":[{"name":"/x","version":1,"type":"mystery","data":"x"}]}`)}, "no codec"},
 		{"commit-bad-data", wal.Record{Type: wal.RecOCTCommit,
