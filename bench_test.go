@@ -488,7 +488,9 @@ set sum
 	}
 }
 
-// BenchmarkEspressoMinimize measures two-level minimization.
+// BenchmarkEspressoMinimize measures two-level minimization. The exact
+// minimizer inside it has its own layer benchmark, BenchmarkMinimizeExact
+// in internal/cad/logic, so a tool-body regression names its layer.
 func BenchmarkEspressoMinimize(b *testing.B) {
 	bh, err := logic.ParseBehavior(logic.GenBehavior(logic.GenConfig{Seed: 3, Inputs: 8, Outputs: 4, Depth: 5}))
 	if err != nil {

@@ -126,7 +126,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	httpSrv := &http.Server{Handler: srv}
+	// Fixed bounds on what an idle or slow client can hold open. There is
+	// no read or write timeout: notification streams stay open for as
+	// long as their subscriber listens.
+	httpSrv := &http.Server{
+		Handler:           srv,
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	log.Printf("papyrusd: serving %d shards on %s (docs/SERVER.md)", *shards, ln.Addr())
 
 	stop := make(chan os.Signal, 1)

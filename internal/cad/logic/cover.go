@@ -13,8 +13,10 @@ package logic
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 	"strings"
+	"sync"
 )
 
 // Lit is one position of a cube's input part.
@@ -201,6 +203,11 @@ func (cv *Cover) Size() int {
 	return len(cv.Cubes)*(len(cv.Inputs)+len(cv.Outputs)+2) + 16*len(cv.Inputs) + 16*len(cv.Outputs)
 }
 
+// exactLimit is the largest input count Minimize solves exactly. It also
+// keeps the exact path's packed cubes within one uint32 per field and a
+// cube key within 32 bits.
+const exactLimit = 12
+
 // Minimize returns an equivalent cover with at most as many terms, using
 // exact prime generation with a greedy cover selection per output when the
 // input count permits, and an iterative merge/containment heuristic
@@ -208,7 +215,6 @@ func (cv *Cover) Size() int {
 // rows than a shared multi-output cover, so the smaller of the two results
 // wins. This is the engine of the simulated espresso.
 func (cv *Cover) Minimize() *Cover {
-	const exactLimit = 12
 	best := cv.minimizeHeuristic()
 	if len(cv.Inputs) <= exactLimit {
 		if m, ok := cv.minimizeExact(); ok && m.NumTerms() < best.NumTerms() {
@@ -222,211 +228,279 @@ func (cv *Cover) Minimize() *Cover {
 // multi-output cover by merging identical input parts.
 func (cv *Cover) minimizeExact() (*Cover, bool) {
 	n := len(cv.Inputs)
+	qm := qmPool.Get().(*qmScratch)
+	defer qmPool.Put(qm)
 	result := NewCover(cv.Inputs, cv.Outputs)
-	merged := map[string]int{} // input part -> index in result.Cubes
+	merged := map[uint32]int{} // cube key -> index in result.Cubes
 	for oi := range cv.Outputs {
-		minterms := cv.mintermsFor(oi)
-		if len(minterms) == 0 {
+		minterms := qm.mintermsFor(cv, oi)
+		var chosen []cube
+		switch len(minterms) {
+		case 0:
 			continue
+		case 1 << n:
+			chosen = []cube{{dc: 1<<n - 1}} // tautology: one all-DC cube
+		default:
+			chosen = qm.greedyCover(qm.primeImplicants(n, minterms), n, len(minterms))
 		}
-		if len(minterms) == 1<<n {
-			// Tautology: a single all-DC cube.
-			c := Cube{In: allDC(n), Out: make([]bool, len(cv.Outputs))}
-			c.Out[oi] = true
-			addMerged(merged, &result.Cubes, c)
-			continue
-		}
-		primes := primeImplicants(n, minterms)
-		chosen := greedyCover(primes, minterms, n)
 		for _, p := range chosen {
-			c := Cube{In: p, Out: make([]bool, len(cv.Outputs))}
+			if idx, ok := merged[p.key()]; ok {
+				result.Cubes[idx].Out[oi] = true
+				continue
+			}
+			c := Cube{In: p.lits(n), Out: make([]bool, len(cv.Outputs))}
 			c.Out[oi] = true
-			addMerged(merged, &result.Cubes, c)
+			merged[p.key()] = len(result.Cubes)
+			result.Cubes = append(result.Cubes, c)
 		}
 	}
 	return result, true
 }
 
-func addMerged(merged map[string]int, cubes *[]Cube, c Cube) {
-	k := string(litBytes(c.In))
-	if idx, ok := merged[k]; ok {
-		prev := &(*cubes)[idx]
-		for j := range prev.Out {
-			prev.Out[j] = prev.Out[j] || c.Out[j]
-		}
-		return
-	}
-	*cubes = append(*cubes, c)
-	merged[k] = len(*cubes) - 1
-}
+// cube is the exact minimizer's packed input part: bit i of dc marks input
+// i don't-care, and bit i of val holds its care value (zero under a
+// don't-care).
+type cube struct{ val, dc uint32 }
 
-func litBytes(in []Lit) []byte {
-	b := make([]byte, len(in))
+// packCube packs an input part; any literal other than '1' and '-' reads
+// as '0'.
+func packCube(in []Lit) cube {
+	var c cube
 	for i, l := range in {
-		b[i] = byte(l)
+		switch l {
+		case LitOne:
+			c.val |= 1 << uint(i)
+		case LitDC:
+			c.dc |= 1 << uint(i)
+		}
 	}
-	return b
+	return c
 }
 
-func allDC(n int) []Lit {
+// key is a cube's identity as one word; exactLimit keeps both fields
+// within 16 bits.
+func (c cube) key() uint32 { return c.dc<<16 | c.val }
+
+// lits unpacks the cube into n literals.
+func (c cube) lits(n int) []Lit {
 	in := make([]Lit, n)
 	for i := range in {
-		in[i] = LitDC
+		switch bit := uint32(1) << uint(i); {
+		case c.dc&bit != 0:
+			in[i] = LitDC
+		case c.val&bit != 0:
+			in[i] = LitOne
+		default:
+			in[i] = LitZero
+		}
 	}
 	return in
 }
 
-// mintermsFor enumerates the minterm set of one output column.
-func (cv *Cover) mintermsFor(oi int) []uint32 {
-	n := len(cv.Inputs)
-	set := map[uint32]bool{}
-	for _, c := range cv.Cubes {
-		if !c.Out[oi] {
-			continue
+// expandCube enumerates the minterms a cube covers.
+func expandCube(c cube, visit func(uint32)) {
+	for s := c.dc; ; s = (s - 1) & c.dc {
+		visit(c.val | s)
+		if s == 0 {
+			return
 		}
-		expandCube(c.In, n, func(m uint32) { set[m] = true })
 	}
-	out := make([]uint32, 0, len(set))
-	for m := range set {
-		out = append(out, m)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
-// expandCube enumerates the minterms a cube's input part covers.
-func expandCube(in []Lit, n int, visit func(uint32)) {
-	var dcs []int
-	var base uint32
-	for i, l := range in {
-		switch l {
-		case LitOne:
-			base |= 1 << uint(i)
-		case LitDC:
-			dcs = append(dcs, i)
+// qmScratch holds the buffers of one exact minimization, reused across
+// output columns and passes; qmPool recycles it across calls. Slices it
+// returns are valid until the next call on the same scratch, except
+// greedyCover's result, which is freshly allocated.
+type qmScratch struct {
+	minterms       []uint32
+	on             []bool // dense minterm set, then coverage
+	current, next  []cube
+	primes         []cube
+	index, nextIdx cubeIndex
+	combined       []bool
+	spent          []bool
+}
+
+var qmPool = sync.Pool{New: func() any { return new(qmScratch) }}
+
+// zeroed returns buf resized to n elements, all zero.
+func zeroed[T any](buf []T, n int) []T {
+	buf = slices.Grow(buf[:0], n)[:n]
+	clear(buf)
+	return buf
+}
+
+// mintermsFor enumerates the minterm set of one output column in
+// ascending order. The result lives in the scratch.
+func (qm *qmScratch) mintermsFor(cv *Cover, oi int) []uint32 {
+	qm.on = zeroed(qm.on, 1<<len(cv.Inputs))
+	for _, c := range cv.Cubes {
+		if c.Out[oi] {
+			expandCube(packCube(c.In), func(m uint32) { qm.on[m] = true })
 		}
 	}
-	for mask := 0; mask < 1<<len(dcs); mask++ {
-		m := base
-		for bi, pos := range dcs {
-			if mask&(1<<bi) != 0 {
-				m |= 1 << uint(pos)
-			}
+	qm.minterms = qm.minterms[:0]
+	for m, ok := range qm.on {
+		if ok {
+			qm.minterms = append(qm.minterms, uint32(m))
 		}
-		visit(m)
 	}
+	return qm.minterms
 }
 
 // primeImplicants runs the Quine–McCluskey combining pass and returns all
-// prime implicants of the given on-set.
-func primeImplicants(n int, minterms []uint32) [][]Lit {
-	type implicant struct {
-		in       []Lit
-		combined bool
+// prime implicants of the given ascending on-set. The result lives in the
+// scratch.
+//
+// The order of the result is part of the output: greedyCover breaks ties
+// by it, so it fixes the chosen rows and every fingerprint built on them.
+// It is the order of an all-pairs scan: for implicants i < j in list
+// order, each distance-1 pair is merged into the next pass's list unless
+// already there, and the uncombined implicants are emitted as primes in
+// list order. Each list stays sorted by val: the minterms start
+// ascending, and a merged cube keeps the val of its lower partner, which
+// comes first. So the partners after i are exactly the cubes i reaches by
+// setting one of its zero care bits, and setting them in ascending bit
+// order visits those partners in ascending list position — the scan's
+// order, found with one index lookup per zero care bit instead of a scan
+// of every later implicant.
+func (qm *qmScratch) primeImplicants(n int, minterms []uint32) []cube {
+	full := uint32(1)<<n - 1
+	current := slices.Grow(qm.current[:0], len(minterms))
+	qm.index.reset(len(minterms))
+	for i, m := range minterms {
+		current = append(current, cube{val: m})
+		qm.index.add(cube{val: m}.key(), i)
 	}
-	current := make([]*implicant, 0, len(minterms))
-	for _, m := range minterms {
-		in := make([]Lit, n)
-		for i := 0; i < n; i++ {
-			if m&(1<<uint(i)) != 0 {
-				in[i] = LitOne
-			} else {
-				in[i] = LitZero
-			}
-		}
-		current = append(current, &implicant{in: in})
-	}
-	var primes [][]Lit
+	next, primes := qm.next[:0], qm.primes[:0]
 	for len(current) > 0 {
-		seen := map[string]bool{}
-		var next []*implicant
-		for i := 0; i < len(current); i++ {
-			for j := i + 1; j < len(current); j++ {
-				pos, ok := distance1(current[i].in, current[j].in)
-				if !ok {
+		lookups := 0
+		for _, c := range current {
+			lookups += bits.OnesCount32(full &^ (c.dc | c.val))
+		}
+		combined := zeroed(qm.combined, len(current))
+		next = slices.Grow(next[:0], lookups)
+		qm.nextIdx.reset(lookups)
+		for i, c := range current {
+			for zeros := full &^ (c.dc | c.val); zeros != 0; zeros &= zeros - 1 {
+				bit := zeros & -zeros
+				j := qm.index.find(cube{c.val | bit, c.dc}.key())
+				if j < 0 {
 					continue
 				}
-				current[i].combined = true
-				current[j].combined = true
-				merged := make([]Lit, n)
-				copy(merged, current[i].in)
-				merged[pos] = LitDC
-				k := string(litBytes(merged))
-				if !seen[k] {
-					seen[k] = true
-					next = append(next, &implicant{in: merged})
+				combined[i], combined[j] = true, true
+				if m := (cube{c.val, c.dc | bit}); qm.nextIdx.add(m.key(), len(next)) {
+					next = append(next, m)
 				}
 			}
 		}
-		primeSeen := map[string]bool{}
-		for _, imp := range current {
-			if imp.combined {
-				continue
-			}
-			k := string(litBytes(imp.in))
-			if !primeSeen[k] {
-				primeSeen[k] = true
-				primes = append(primes, imp.in)
+		for i, c := range current {
+			if !combined[i] {
+				primes = append(primes, c)
 			}
 		}
-		current = next
+		qm.combined = combined
+		current, next = next, current
+		qm.index, qm.nextIdx = qm.nextIdx, qm.index
 	}
+	qm.current, qm.next, qm.primes = current, next, primes
 	return primes
 }
 
-// greedyCover selects a subset of primes covering all minterms, largest
-// marginal coverage first (ties to fewer literals).
-func greedyCover(primes [][]Lit, minterms []uint32, n int) [][]Lit {
-	covered := map[uint32]bool{}
-	covering := make([][]uint32, len(primes))
-	for i, p := range primes {
-		expandCube(p, n, func(m uint32) {
-			covering[i] = append(covering[i], m)
-		})
+// cubeIndex maps cube keys to positions in one pass's implicant list. It
+// is open-addressed with linear probing, sized before each pass for the
+// most entries the pass can add.
+type cubeIndex struct {
+	slots []cubeSlot
+	shift uint // 32 - log2(len(slots))
+}
+
+type cubeSlot struct {
+	key uint32 // cube key + 1; 0 marks an empty slot
+	pos int32
+}
+
+// reset empties the index and sizes it for up to entries keys at no more
+// than half load.
+func (t *cubeIndex) reset(entries int) {
+	size, shift := 16, uint(28)
+	for size < 2*entries {
+		size, shift = size<<1, shift-1
 	}
-	need := map[uint32]bool{}
-	for _, m := range minterms {
-		need[m] = true
+	t.slots, t.shift = zeroed(t.slots, size), shift
+}
+
+// find returns the position stored under key k, or -1.
+func (t *cubeIndex) find(k uint32) int {
+	k++
+	mask := uint32(len(t.slots) - 1)
+	for i := (k * 0x9E3779B1) >> t.shift; ; i = (i + 1) & mask {
+		switch t.slots[i].key {
+		case k:
+			return int(t.slots[i].pos)
+		case 0:
+			return -1
+		}
 	}
-	var chosen [][]Lit
-	for len(covered) < len(need) {
-		best, bestGain, bestLits := -1, 0, 0
+}
+
+// add stores pos under key k and reports true, or reports false when k
+// is already present.
+func (t *cubeIndex) add(k uint32, pos int) bool {
+	k++
+	mask := uint32(len(t.slots) - 1)
+	for i := (k * 0x9E3779B1) >> t.shift; ; i = (i + 1) & mask {
+		switch t.slots[i].key {
+		case k:
+			return false
+		case 0:
+			t.slots[i] = cubeSlot{key: k, pos: int32(pos)}
+			return true
+		}
+	}
+}
+
+// greedyCover selects a subset of primes covering all need minterms,
+// largest marginal coverage first (ties to fewer literals, then to the
+// earlier prime). Every prime covers only on-set minterms.
+func (qm *qmScratch) greedyCover(primes []cube, n, need int) []cube {
+	covered := zeroed(qm.on, 1<<n)
+	spent := zeroed(qm.spent, len(primes)) // covers nothing new; stays so
+	qm.on, qm.spent = covered, spent
+	var chosen []cube
+	for need > 0 {
+		best, bestGain, bestDC := -1, 0, 0
 		for i, p := range primes {
-			gain := 0
-			for _, m := range covering[i] {
-				if need[m] && !covered[m] {
-					gain++
-				}
-			}
-			if gain == 0 {
+			if spent[i] {
 				continue
 			}
-			lits := careCount(p)
-			if gain > bestGain || (gain == bestGain && lits < bestLits) {
-				best, bestGain, bestLits = i, gain, lits
+			g := 0
+			expandCube(p, func(m uint32) {
+				if !covered[m] {
+					g++
+				}
+			})
+			if g == 0 {
+				spent[i] = true
+				continue
+			}
+			// More don't-cares is fewer literals.
+			if dc := bits.OnesCount32(p.dc); g > bestGain || (g == bestGain && dc > bestDC) {
+				best, bestGain, bestDC = i, g, dc
 			}
 		}
 		if best < 0 {
 			break // should not happen: primes cover all minterms
 		}
 		chosen = append(chosen, primes[best])
-		for _, m := range covering[best] {
-			if need[m] {
+		expandCube(primes[best], func(m uint32) {
+			if !covered[m] {
 				covered[m] = true
+				need--
 			}
-		}
+		})
 	}
 	return chosen
-}
-
-func careCount(in []Lit) int {
-	n := 0
-	for _, l := range in {
-		if l != LitDC {
-			n++
-		}
-	}
-	return n
 }
 
 // MinimizeHeuristicOnly exposes the heuristic engine alone for ablation

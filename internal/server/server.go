@@ -20,6 +20,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"net/http"
@@ -329,11 +330,17 @@ func (s *Server) writeError(w http.ResponseWriter, status int, code, msg string)
 	s.writeJSON(w, status, e)
 }
 
-// decode parses a JSON request body, mapping failures to 400.
+// decode parses a JSON request body of at most MaxRequestBytes, mapping
+// an overlong body to 413 and other failures to 400.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			s.writeError(w, http.StatusRequestEntityTooLarge, CodeTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
+			return false
+		}
 		s.writeError(w, http.StatusBadRequest, CodeBadRequest, "malformed request body: "+err.Error())
 		return false
 	}

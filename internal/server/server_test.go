@@ -3,6 +3,7 @@ package server_test
 import (
 	"context"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -206,6 +207,24 @@ func TestBadRequests(t *testing.T) {
 	}
 	if _, err := cl.SubmitTask(info.ID, server.TaskRequest{Task: "NoSuchTask"}); !isStatus(err, 422, server.CodeBadRequest) {
 		t.Fatalf("unknown task = %v, want 422", err)
+	}
+}
+
+// TestOversizedBodyRejected checks that a request body longer than
+// MaxRequestBytes is refused with 413 instead of being buffered and
+// imported, and that the server keeps serving afterwards.
+func TestOversizedBodyRejected(t *testing.T) {
+	_, cl := newTestServer(t, server.Config{})
+	info, err := cl.OpenSession("acme", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := server.ImportRequest{Name: "/big", Kind: "text", Data: strings.Repeat("x", server.MaxRequestBytes)}
+	if _, err := cl.Import(info.ID, big); !isStatus(err, 413, server.CodeTooLarge) {
+		t.Fatalf("oversized import = %v, want 413 %s", err, server.CodeTooLarge)
+	}
+	if _, err := cl.Import(info.ID, server.ImportRequest{Name: "/small", Kind: "text", Data: "ok"}); err != nil {
+		t.Fatalf("import after a refused body: %v", err)
 	}
 }
 

@@ -19,7 +19,8 @@ const APIVersion = "v1"
 // Error is the uniform error body of every non-2xx response.
 type Error struct {
 	// Code is a stable machine-readable identifier: bad_request,
-	// not_found, conflict, throttled, overloaded, closed, internal.
+	// too_large, not_found, conflict, throttled, overloaded, closed,
+	// internal.
 	Code    string `json:"code"`
 	Message string `json:"message"`
 	// RetryAfterMS accompanies throttled/overloaded responses: the
@@ -31,6 +32,7 @@ type Error struct {
 // Error codes.
 const (
 	CodeBadRequest = "bad_request"
+	CodeTooLarge   = "too_large"
 	CodeNotFound   = "not_found"
 	CodeConflict   = "conflict"
 	CodeThrottled  = "throttled"
@@ -38,6 +40,13 @@ const (
 	CodeClosed     = "closed"
 	CodeInternal   = "internal"
 )
+
+// MaxRequestBytes caps every request body; a longer one is refused with
+// 413 and CodeTooLarge. The benchmark workloads' largest request is a
+// task submission of a few hundred bytes, so the cap leaves room for
+// text imports of sizeable designs while bounding what one request can
+// make the server buffer.
+const MaxRequestBytes = 1 << 20
 
 // HealthResponse is GET /v1/healthz.
 type HealthResponse struct {
