@@ -21,7 +21,7 @@ type env struct {
 	mgr   *Manager
 }
 
-func newEnv(t *testing.T) *env {
+func newEnv(t testing.TB) *env {
 	t.Helper()
 	cluster, err := sprite.NewCluster(sprite.Config{Nodes: 4, MigrationDelay: 2})
 	if err != nil {
@@ -41,7 +41,7 @@ func newEnv(t *testing.T) *env {
 	return &env{store: store, mgr: NewManager(store, tm)}
 }
 
-func (e *env) seed(t *testing.T, name string, typ oct.Type, data oct.Value) {
+func (e *env) seed(t testing.TB, name string, typ oct.Type, data oct.Value) {
 	t.Helper()
 	if _, err := e.store.Put(name, typ, data, "seed"); err != nil {
 		t.Fatal(err)
@@ -50,7 +50,7 @@ func (e *env) seed(t *testing.T, name string, typ oct.Type, data oct.Value) {
 
 // shifterThread reproduces the beginning of the Fig 3.7 Shifter-synthesis
 // thread: create-logic-description, then logic-simulator.
-func shifterThread(t *testing.T, e *env) *Thread {
+func shifterThread(t testing.TB, e *env) *Thread {
 	t.Helper()
 	th := e.mgr.NewThread("Shifter-synthesis", "chiueh")
 	e.seed(t, "/specs/shifter", oct.TypeBehavioral, oct.Text(logic.ShifterBehavior(4)))

@@ -123,60 +123,6 @@ func (m *Manager) DropThread(t *Thread) {
 	_ = m.logThread("drop", t, false)
 }
 
-// RestoreThread reinstates a persisted thread: its control stream, cursor
-// (by record ID; 0 means the initial point) and identity. Used by session
-// persistence; the restored thread gets a fresh manager-local ID.
-func (m *Manager) RestoreThread(name, owner string, stream *history.Stream, cursorID int) (*Thread, error) {
-	t := m.NewThread(name, owner)
-	t.stream = stream
-	if cursorID != 0 {
-		rec, ok := stream.ByID(cursorID)
-		if !ok {
-			return nil, fmt.Errorf("activity: restored cursor %d not in stream", cursorID)
-		}
-		t.cursor = rec
-	}
-	for _, r := range stream.Records() {
-		t.indexRecord(r)
-	}
-	if err := m.logThread("restore", t, true); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// ReinstateThread is RestoreThread under a stable thread ID, used by
-// crash recovery (core.Recover): write-ahead log records reference the
-// original IDs, so a thread restored from a snapshot must keep the ID it
-// was saved with for the log tail to replay against it. id <= 0 falls
-// back to a fresh manager-local ID (pre-ID session files).
-func (m *Manager) ReinstateThread(id int, name, owner string, stream *history.Stream, cursorID int) (*Thread, error) {
-	if id <= 0 {
-		return m.RestoreThread(name, owner, stream, cursorID)
-	}
-	t := m.replayThread(id, name, owner)
-	t.name, t.owner = name, owner
-	t.stream = stream
-	t.cursor = nil
-	t.timeIndex = nil
-	if cursorID != 0 {
-		rec, ok := stream.ByID(cursorID)
-		if !ok {
-			return nil, fmt.Errorf("activity: restored cursor %d not in stream", cursorID)
-		}
-		t.cursor = rec
-	}
-	for _, r := range stream.Records() {
-		t.indexRecord(r)
-	}
-	t.touch()
-	m.metrics.Inc("activity.thread.create")
-	if err := m.logThread("restore", t, true); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
 // copyStream deep-copies a control stream via its persistent form.
 func copyStream(s *history.Stream) (*history.Stream, error) {
 	var buf bytes.Buffer
@@ -211,15 +157,11 @@ func (m *Manager) ForkThread(src *Thread, at *history.Record, whole bool, name, 
 		if err != nil {
 			return nil, err
 		}
-		t.stream = cp
+		var cursor *history.Record
 		if src.cursor != nil {
-			if rec, ok := cp.ByID(src.cursor.ID); ok {
-				t.cursor = rec
-			}
+			cursor, _ = cp.ByID(src.cursor.ID)
 		}
-		for _, r := range cp.Records() {
-			t.indexRecord(r)
-		}
+		t.adopt(cp, cursor)
 		if err := m.logThread("fork", t, true); err != nil {
 			return nil, err
 		}
@@ -251,13 +193,8 @@ func (m *Manager) ForkThread(src *Thread, at *history.Record, whole bool, name, 
 			break
 		}
 	}
-	t.stream = cp
-	if rec, ok := cp.ByID(at.ID); ok {
-		t.cursor = rec
-	}
-	for _, r := range cp.Records() {
-		t.indexRecord(r)
-	}
+	cursor, _ := cp.ByID(at.ID)
+	t.adopt(cp, cursor)
 	if err := m.logThread("fork", t, true); err != nil {
 		return nil, err
 	}
@@ -294,13 +231,11 @@ func (m *Manager) Cascade(lead, trail *Thread, connector *history.Record, name, 
 	// Cached thread states of the trailing part are stale (§5.3): they
 	// lack the leading thread's objects. graft drops them; recache the
 	// new frontier lazily on demand.
-	t.cursor = attach
+	cursor := attach
 	if fr := t.stream.Frontier(); len(fr) > 0 {
-		t.cursor = fr[len(fr)-1]
+		cursor = fr[len(fr)-1]
 	}
-	for _, r := range t.stream.Records() {
-		t.indexRecord(r)
-	}
+	t.adopt(t.stream, cursor)
 	m.metrics.Inc("activity.thread.cascade")
 	m.emitThreadEvent(obs.EvThreadCascade, t, map[string]string{"lead": lead.name, "trail": trail.name})
 	if err := m.logThread("cascade", t, true); err != nil {

@@ -1,15 +1,18 @@
 package activity
 
-// Coverage for the session-persistence and recovery entry points
-// (RestoreThread / ReinstateThread / ReplayRecord), the observability
-// plumbing, and the small accessors the multi-session runner uses.
+// Coverage for the thread checkpoint (SaveThreads / RestoreThreads),
+// ReplayRecord, the observability plumbing, and the small accessors the
+// multi-session runner uses.
 
 import (
+	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
 	"papyrus/internal/history"
 	"papyrus/internal/obs"
+	"papyrus/internal/oct"
 	"papyrus/internal/task"
 )
 
@@ -53,57 +56,134 @@ func TestManagerAccessorsAndObservability(t *testing.T) {
 	}
 }
 
-func TestRestoreAndReinstateThread(t *testing.T) {
+// checkpointEnv builds a manager holding the shifter thread (cursor on
+// its last record) and a second thread left at the initial point, and
+// returns it with its SaveThreads document.
+func checkpointEnv(t testing.TB) (*env, []byte) {
 	e := newEnv(t)
-	th := shifterThread(t, e)
-	cursorID := th.Cursor().ID
-	want := len(th.Stream().Records())
-
-	st, err := copyStream(th.Stream())
-	if err != nil {
+	shifterThread(t, e)
+	e.mgr.NewThread("empty", "jones")
+	var buf bytes.Buffer
+	if err := e.mgr.SaveThreads(&buf); err != nil {
 		t.Fatal(err)
 	}
-	r, err := e.mgr.RestoreThread("restored", "chiueh", st, cursorID)
-	if err != nil {
+	return e, buf.Bytes()
+}
+
+// TestRestoreThreads: a SaveThreads document restores into a fresh
+// manager under the saved IDs, names, owners, cursors and streams, and
+// re-saves to the same bytes; new threads continue past the highest
+// restored ID.
+func TestRestoreThreads(t *testing.T) {
+	e, doc := checkpointEnv(t)
+	fresh := NewManager(e.store, nil)
+	if err := fresh.RestoreThreads(bytes.NewReader(doc)); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
-	if r.Cursor() == nil || r.Cursor().ID != cursorID {
-		t.Fatalf("restored cursor = %+v, want record %d", r.Cursor(), cursorID)
+	want, got := e.mgr.Threads(), fresh.Threads()
+	if len(got) != len(want) {
+		t.Fatalf("restored %d threads, want %d", len(got), len(want))
 	}
-	if got := len(r.Stream().Records()); got != want {
-		t.Fatalf("restored stream has %d records, want %d", got, want)
+	for i, w := range want {
+		g := got[i]
+		if g.ID() != w.ID() || g.Name() != w.Name() || g.Owner() != w.Owner() {
+			t.Errorf("thread %d = %d/%q/%q, want %d/%q/%q", i, g.ID(), g.Name(), g.Owner(), w.ID(), w.Name(), w.Owner())
+		}
+		if g.Stream().Len() != w.Stream().Len() {
+			t.Errorf("thread %q has %d records, want %d", w.Name(), g.Stream().Len(), w.Stream().Len())
+		}
+		if (g.Cursor() == nil) != (w.Cursor() == nil) || (w.Cursor() != nil && g.Cursor().ID != w.Cursor().ID) {
+			t.Errorf("thread %q cursor = %+v, want %+v", w.Name(), g.Cursor(), w.Cursor())
+		}
+		if g.LastAccess() != e.store.Clock() {
+			t.Errorf("thread %q LastAccess = %d, want the store clock %d", w.Name(), g.LastAccess(), e.store.Clock())
+		}
 	}
-
-	st2, _ := copyStream(th.Stream())
-	if _, err := e.mgr.RestoreThread("bad", "chiueh", st2, 99999); err == nil {
-		t.Fatal("restore with a bogus cursor succeeded")
-	}
-
-	// Reinstate keeps the saved thread ID stable for WAL-tail replay.
-	st3, _ := copyStream(th.Stream())
-	ri, err := e.mgr.ReinstateThread(500, "reinstated", "chiueh", st3, cursorID)
-	if err != nil {
-		t.Fatalf("reinstate: %v", err)
-	}
-	if ri.ID() != 500 || ri.Cursor() == nil || ri.Cursor().ID != cursorID {
-		t.Fatalf("reinstated thread = id %d cursor %+v, want 500/%d", ri.ID(), ri.Cursor(), cursorID)
-	}
-
-	// id <= 0 falls back to a fresh manager-local ID, cursor 0 to the
-	// initial point.
-	st4, _ := copyStream(th.Stream())
-	ri0, err := e.mgr.ReinstateThread(0, "pre-id", "chiueh", st4, 0)
-	if err != nil {
+	var again bytes.Buffer
+	if err := fresh.SaveThreads(&again); err != nil {
 		t.Fatal(err)
 	}
-	if ri0.ID() <= 0 || ri0.Cursor() != nil {
-		t.Fatalf("pre-id reinstate = id %d cursor %+v, want fresh id and initial point", ri0.ID(), ri0.Cursor())
+	if !bytes.Equal(again.Bytes(), doc) {
+		t.Errorf("re-saved checkpoint differs:\n%s\nvs\n%s", again.Bytes(), doc)
 	}
+	if next := fresh.NewThread("next", "chiueh"); next.ID() != want[len(want)-1].ID()+1 {
+		t.Errorf("new thread ID = %d, want %d", next.ID(), want[len(want)-1].ID()+1)
+	}
+}
 
-	st5, _ := copyStream(th.Stream())
-	if _, err := e.mgr.ReinstateThread(501, "bad", "chiueh", st5, 99999); err == nil {
-		t.Fatal("reinstate with a bogus cursor succeeded")
+// TestRestoreThreadsRejectsMalformed: a non-positive or repeated thread
+// ID, a cursor outside the stream, a corrupt stream and a document that
+// is not JSON are errors. A repeated ID used to replace its twin
+// silently, and a non-positive one used to get a fresh ID that log
+// records could not name.
+func TestRestoreThreadsRejectsMalformed(t *testing.T) {
+	entry := func(id, cursor int, stream string) string {
+		return fmt.Sprintf(`{"id":%d,"name":"t%d","owner":"o","cursor_id":%d,"stream":%s}`, id, id, cursor, stream)
 	}
+	const stream = `{"next_id":2,"records":[{"id":1,"task":"x"}]}`
+	doc := func(entries ...string) string { return `{"threads":[` + strings.Join(entries, ",") + `]}` }
+	for _, tc := range []struct {
+		name, doc, wantErr string
+	}{
+		{"valid", doc(entry(1, 1, stream), entry(2, 0, stream)), ""},
+		{"id-zero", doc(entry(0, 0, stream)), "has ID 0"},
+		{"id-negative", doc(entry(-4, 0, stream)), "has ID -4"},
+		{"id-twice", doc(entry(3, 0, stream), entry(3, 1, stream)), "ID 3 appears twice"},
+		{"bogus-cursor", doc(entry(1, 99999, stream)), "cursor 99999 not in stream"},
+		{"record-twice", doc(entry(1, 0, `{"records":[{"id":1},{"id":1}]}`)), "record 1 appears twice"},
+		{"not-json", `{"threads":`, "decode threads"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := NewManager(oct.NewStore(), nil)
+			err := m.RestoreThreads(strings.NewReader(tc.doc))
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatalf("restore: %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("restore error = %v, want one containing %q", err, tc.wantErr)
+			}
+		})
+	}
+}
+
+// FuzzThreadCheckpoint: whatever bytes arrive, RestoreThreads errors or
+// succeeds — it never panics — and a successful restore re-saves to
+// canonical bytes that restore and re-save to themselves.
+func FuzzThreadCheckpoint(f *testing.F) {
+	_, doc := checkpointEnv(f)
+	f.Add(doc)
+	for _, cut := range []int{0, 1, len(doc) / 3, len(doc) / 2, len(doc) - 2} {
+		f.Add(doc[:cut])
+	}
+	f.Add([]byte(`{"threads":[{"id":0,"name":"a","owner":"","cursor_id":0,"stream":{"records":[]}}]}`))
+	f.Add([]byte(`{"threads":[{"id":1,"name":"a","owner":"","cursor_id":0,"stream":{}},{"id":1,"name":"b","owner":"","cursor_id":0,"stream":{}}]}`))
+	f.Add([]byte(`{"threads":[{"id":1,"name":"a","owner":"","cursor_id":1,"stream":{"records":[{"id":1},{"id":1}]}}]}`))
+
+	save := func(t *testing.T, m *Manager) []byte {
+		var buf bytes.Buffer
+		if err := m.SaveThreads(&buf); err != nil {
+			t.Fatalf("save after successful restore: %v", err)
+		}
+		return buf.Bytes()
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		store := oct.NewStore()
+		m := NewManager(store, nil)
+		if err := m.RestoreThreads(bytes.NewReader(data)); err != nil {
+			return
+		}
+		first := save(t, m)
+		again := NewManager(store, nil)
+		if err := again.RestoreThreads(bytes.NewReader(first)); err != nil {
+			t.Fatalf("canonical checkpoint rejected: %v\n%s", err, first)
+		}
+		if second := save(t, again); !bytes.Equal(first, second) {
+			t.Fatalf("re-save not canonical:\n%s\nvs\n%s", first, second)
+		}
+	})
 }
 
 func TestReplayRecordReruns(t *testing.T) {

@@ -288,6 +288,15 @@ func (t *Thread) touch() {
 	t.lastAccess = t.mgr.store.Clock()
 }
 
+// adopt makes stream the thread's control stream with cursor as its
+// current cursor (nil = the initial point) and rebuilds the time index.
+func (t *Thread) adopt(stream *history.Stream, cursor *history.Record) {
+	t.stream, t.cursor, t.timeIndex = stream, cursor, nil
+	for _, r := range stream.Records() {
+		t.indexRecord(r)
+	}
+}
+
 // indexRecord maintains the hour-bucket index as records are attached.
 func (t *Thread) indexRecord(rec *history.Record) {
 	if t.timeIndex == nil {

@@ -1,20 +1,24 @@
 package activity
 
-// WAL integration: the activity manager logs thread lifecycle events
-// (create/fork/cascade/join/restore/drop), control-stream record
+// Persistence: the activity manager logs thread lifecycle events
+// (create/fork/cascade/join/reclaim/drop), control-stream record
 // attaches, and rework cursor moves, so a crashed session's design
-// threads recover alongside the object store (docs/DURABILITY.md).
+// threads recover alongside the object store (docs/DURABILITY.md), and
+// checkpoints every thread (SaveThreads/RestoreThreads).
 //
 // Record attaches use history's incremental encoding (one payload per
 // record, replayed through Stream.ApplyLogged). Thread manipulations
 // that build whole streams at once — fork, cascade, join — are rare
-// designer actions and carry the full serialized stream instead; replay
-// is idempotent per thread ID (an existing thread's stream is replaced).
+// designer actions and carry the full serialized stream instead, as
+// does a checkpoint entry; both install through Thread.install, and
+// replay is idempotent per thread ID (an existing thread's stream is
+// replaced).
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 
 	"papyrus/internal/history"
 	"papyrus/internal/wal"
@@ -26,7 +30,7 @@ func (m *Manager) AttachWAL(l *wal.Log) { m.wal = l }
 
 // walThreadOp is the RecThread payload: one thread lifecycle event.
 // Stream is the full persisted control stream for ops that construct one
-// (fork/cascade/join/restore); empty for create and drop.
+// (fork/cascade/join/reclaim); empty for create and drop.
 type walThreadOp struct {
 	Op       string          `json:"op"`
 	ID       int             `json:"id"`
@@ -159,9 +163,11 @@ func (m *Manager) ReplayWALRecord(r wal.Record) (applied bool, err error) {
 	return false, nil
 }
 
-// replayThread finds or creates the thread a replayed op targets.
+// replayThread finds or creates the thread a replayed op targets and
+// gives it the op's name and owner.
 func (m *Manager) replayThread(id int, name, owner string) *Thread {
 	if t, ok := m.threads[id]; ok {
+		t.name, t.owner = name, owner
 		return t
 	}
 	t := &Thread{id: id, name: name, owner: owner, mgr: m, stream: history.NewStream()}
@@ -178,26 +184,99 @@ func (m *Manager) replayThreadOp(p walThreadOp) error {
 		return nil
 	}
 	t := m.replayThread(p.ID, p.Name, p.Owner)
-	t.name, t.owner = p.Name, p.Owner
 	if len(p.Stream) == 0 {
 		return nil
 	}
-	stream, err := history.Load(bytes.NewReader(p.Stream))
-	if err != nil {
+	if err := t.install(p.Stream, p.CursorID); err != nil {
 		return fmt.Errorf("activity: replay thread %d op %s: %w", p.ID, p.Op, err)
 	}
-	t.stream = stream
-	t.cursor = nil
-	t.timeIndex = nil
-	if p.CursorID != 0 {
-		rec, ok := stream.ByID(p.CursorID)
-		if !ok {
-			return fmt.Errorf("activity: replay thread %d: cursor %d not in stream", p.ID, p.CursorID)
-		}
-		t.cursor = rec
+	return nil
+}
+
+// install adopts a persisted control stream with the cursor at record
+// cursorID (0 = the initial point).
+func (t *Thread) install(data json.RawMessage, cursorID int) error {
+	stream, err := history.Load(bytes.NewReader(data))
+	if err != nil {
+		return err
 	}
-	for _, r := range stream.Records() {
-		t.indexRecord(r)
+	var cursor *history.Record
+	if cursorID != 0 {
+		var ok bool
+		if cursor, ok = stream.ByID(cursorID); !ok {
+			return fmt.Errorf("cursor %d not in stream", cursorID)
+		}
+	}
+	t.adopt(stream, cursor)
+	return nil
+}
+
+// savedThread is one thread of a SaveThreads checkpoint. ID keeps the
+// thread's identity across the checkpoint, so log records — which name
+// threads by ID — replay against the restored thread.
+type savedThread struct {
+	ID       int             `json:"id"`
+	Name     string          `json:"name"`
+	Owner    string          `json:"owner"`
+	CursorID int             `json:"cursor_id"`
+	Stream   json.RawMessage `json:"stream"`
+}
+
+type savedThreads struct {
+	Threads []savedThread `json:"threads"`
+}
+
+// SaveThreads writes every thread — ID, name, owner, cursor and full
+// control stream, in ID order — as one indented JSON document.
+func (m *Manager) SaveThreads(w io.Writer) error {
+	var f savedThreads
+	for _, t := range m.Threads() {
+		var buf bytes.Buffer
+		if err := t.stream.Save(&buf); err != nil {
+			return fmt.Errorf("activity: save thread %q: %w", t.name, err)
+		}
+		st := savedThread{ID: t.id, Name: t.name, Owner: t.owner, Stream: buf.Bytes()}
+		if t.cursor != nil {
+			st.CursorID = t.cursor.ID
+		}
+		f.Threads = append(f.Threads, st)
+	}
+	data, err := json.MarshalIndent(&f, "", "  ")
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(data)
+	return err
+}
+
+// RestoreThreads reinstates the threads of a SaveThreads document under
+// their saved IDs. Every ID must be positive and new to the manager, so
+// a duplicate never silently replaces its twin. Like log replay it
+// appends nothing to an attached log: the checkpoint it reads already
+// covers the threads. A rejected document returns an error and may
+// leave the manager partially restored.
+func (m *Manager) RestoreThreads(r io.Reader) error {
+	raw, err := io.ReadAll(r)
+	if err != nil {
+		return fmt.Errorf("activity: read threads: %w", err)
+	}
+	var f savedThreads
+	if err := json.Unmarshal(raw, &f); err != nil {
+		return fmt.Errorf("activity: decode threads: %w", err)
+	}
+	for _, st := range f.Threads {
+		if st.ID <= 0 {
+			return fmt.Errorf("activity: saved thread %q has ID %d, want a positive ID", st.Name, st.ID)
+		}
+		if _, dup := m.threads[st.ID]; dup {
+			return fmt.Errorf("activity: saved thread ID %d appears twice", st.ID)
+		}
+		t := m.replayThread(st.ID, st.Name, st.Owner)
+		if err := t.install(st.Stream, st.CursorID); err != nil {
+			return fmt.Errorf("activity: restore thread %q: %w", st.Name, err)
+		}
+		t.touch()
+		m.metrics.Inc("activity.thread.create")
 	}
 	return nil
 }

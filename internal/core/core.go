@@ -110,7 +110,7 @@ type Config struct {
 	// recorded work (the §3.3.3 rework loop) materializes cached output
 	// versions instead of re-invoking tools (docs/CACHING.md). The cache
 	// is shared by every session of a RunSessions drive and is rebuilt
-	// from history on Recover; nil disables memoization.
+	// from history on Recover and LoadSession; nil disables memoization.
 	Memo *memo.Cache
 }
 

@@ -9,13 +9,8 @@ package core
 // after a crash (docs/DURABILITY.md).
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 
-	"papyrus/internal/history"
 	"papyrus/internal/obs"
 	"papyrus/internal/wal"
 )
@@ -82,25 +77,14 @@ func Recover(cfg Config, sessionDir string) (*System, wal.ReplayStats, error) {
 	if d == nil || d.Dir == "" {
 		return nil, wal.ReplayStats{}, fmt.Errorf("core: Recover requires Config.Durability")
 	}
-	// Build the system with the log detached: nothing that happens during
-	// snapshot restore or log replay may re-append.
-	bare := cfg
-	bare.Durability = nil
-	s, err := New(bare)
-	if err != nil {
-		return nil, wal.ReplayStats{}, err
-	}
-	s.cfg.Durability = d
+	return restore(cfg, sessionDir, d.Dir)
+}
 
-	if sessionDir != "" {
-		if err := s.restoreSnapshotIfPresent(sessionDir); err != nil {
-			return nil, wal.ReplayStats{}, err
-		}
-	}
-
-	// Replay every valid record through both subsystems; wal.Replay stops
-	// cleanly at the torn tail.
-	stats, err := wal.Replay(d.Dir, func(r wal.Record) error {
+// replayWAL replays every valid record of the log in dir through the
+// store and the activity manager; wal.Replay stops cleanly at the torn
+// tail.
+func (s *System) replayWAL(dir string) (wal.ReplayStats, error) {
+	stats, err := wal.Replay(dir, func(r wal.Record) error {
 		storeApplied, err := s.Store.ReplayWALRecord(r)
 		if err != nil {
 			return err
@@ -117,77 +101,17 @@ func Recover(cfg Config, sessionDir string) (*System, wal.ReplayStats, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, stats, err
+		return stats, err
 	}
 	s.Metrics.Add("wal.recover.records", int64(stats.Records))
 	s.Metrics.Add("wal.recover.segments", int64(stats.Segments))
 	if s.Trace != nil {
-		s.Trace.Emit(obs.Event{VT: s.Cluster.Now(), Type: obs.EvWALRecover, Name: d.Dir,
+		s.Trace.Emit(obs.Event{VT: s.Cluster.Now(), Type: obs.EvWALRecover, Name: dir,
 			Args: map[string]string{
 				"records":   fmt.Sprintf("%d", stats.Records),
 				"segments":  fmt.Sprintf("%d", stats.Segments),
 				"truncated": fmt.Sprintf("%d", stats.Truncated),
 			}})
 	}
-
-	// Re-feed the recovered histories to the inference engine (Ch. 6: the
-	// history subsumes the metadata), mirroring LoadSession.
-	if s.Inference != nil {
-		for _, t := range s.Activity.Threads() {
-			for _, rec := range t.Stream().Records() {
-				for _, step := range rec.Steps {
-					s.Inference.ObserveStep(step)
-				}
-			}
-		}
-	}
-
-	// The memo cache is derived data (no log of its own): rebuild it from
-	// the recovered history so post-crash rework replays are still hits.
-	s.WarmMemo()
-
-	// Reopen for continued appends: wal.Open truncates the torn tail, so
-	// the log's durable content now matches the recovered state exactly.
-	if err := s.openWAL(); err != nil {
-		return nil, stats, err
-	}
-	return s, stats, nil
-}
-
-// restoreSnapshotIfPresent loads store.json and threads.json from dir,
-// treating missing files as an empty snapshot — a crash may predate the
-// first SaveSession. Threads keep their saved IDs so the log tail can
-// reference them; inference re-feeding is the caller's job (it must see
-// the post-replay streams, not the snapshot's).
-func (s *System) restoreSnapshotIfPresent(dir string) error {
-	storeData, err := os.ReadFile(filepath.Join(dir, storeFile))
-	switch {
-	case err == nil:
-		if err := s.Store.Restore(bytes.NewReader(storeData)); err != nil {
-			return err
-		}
-	case !os.IsNotExist(err):
-		return fmt.Errorf("core: read session store: %w", err)
-	}
-
-	threadData, err := os.ReadFile(filepath.Join(dir, threadsFile))
-	switch {
-	case err == nil:
-		var sf sessionFile
-		if err := json.Unmarshal(threadData, &sf); err != nil {
-			return fmt.Errorf("core: decode session threads: %w", err)
-		}
-		for _, st := range sf.Threads {
-			stream, err := history.Load(bytes.NewReader(st.Stream))
-			if err != nil {
-				return fmt.Errorf("core: load thread %q: %w", st.Name, err)
-			}
-			if _, err := s.Activity.ReinstateThread(st.ID, st.Name, st.Owner, stream, st.CursorID); err != nil {
-				return err
-			}
-		}
-	case !os.IsNotExist(err):
-		return fmt.Errorf("core: read session threads: %w", err)
-	}
-	return nil
+	return stats, nil
 }

@@ -3,8 +3,8 @@ package core
 // Memoization wiring. The step-result cache (internal/memo) is pure
 // derived data: its keys and payloads are functions of the design history
 // and the store's immutable versions, so it keeps no write-ahead log of
-// its own. After a crash, Recover rebuilds it by re-keying every cleanly
-// completed step of every recovered thread — WarmMemo below — which makes
+// its own. Recover and LoadSession rebuild it by re-keying every cleanly
+// completed step of every restored thread — WarmMemo below — which makes
 // "crash mid-populate" harmless by construction: an entry the crash lost
 // is recomputed from the same history that produced it (docs/CACHING.md).
 
@@ -14,7 +14,7 @@ import (
 	"papyrus/internal/obs"
 )
 
-// WarmMemo rebuilds the memo cache from the activity manager's recovered
+// WarmMemo rebuilds the memo cache from the activity manager's restored
 // design history: every successfully completed step whose input and
 // output versions are still materialized in the store is re-keyed and
 // populated. Returns the number of entries added. A no-op without a

@@ -2,36 +2,20 @@ package core
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 
-	"papyrus/internal/history"
+	"papyrus/internal/wal"
 )
 
 // Session persistence: the dissertation keeps design data and the history
 // persistently so the activity manager, the reclamation process, and later
 // sessions share one durable state (§5.3). SaveSession/LoadSession extend
 // that to the whole environment: the object store snapshots through the
-// oct codecs and every thread's control stream through the history
-// package's persistent form.
-
-// sessionThread is one persisted thread. ID keeps the activity-manager
-// thread ID stable across save/recover, so write-ahead log records —
-// which reference threads by ID — replay against the restored thread
-// (0 in pre-ID session files: restore allocates a fresh ID).
-type sessionThread struct {
-	ID       int             `json:"id,omitempty"`
-	Name     string          `json:"name"`
-	Owner    string          `json:"owner"`
-	CursorID int             `json:"cursor_id"`
-	Stream   json.RawMessage `json:"stream"`
-}
-
-type sessionFile struct {
-	Threads []sessionThread `json:"threads"`
-}
+// oct codecs and every thread through the activity manager's checkpoint
+// document. LoadSession and Recover restore that checkpoint through one
+// path (restore below); only Recover replays a log on top of it.
 
 const (
 	storeFile   = "store.json"
@@ -59,24 +43,11 @@ func (s *System) SaveSession(dir string) error {
 	if err := os.WriteFile(filepath.Join(dir, storeFile), storeBuf.Bytes(), 0o644); err != nil {
 		return err
 	}
-
-	var sf sessionFile
-	for _, t := range s.Activity.Threads() {
-		var streamBuf bytes.Buffer
-		if err := t.Stream().Save(&streamBuf); err != nil {
-			return fmt.Errorf("core: save thread %q: %w", t.Name(), err)
-		}
-		st := sessionThread{ID: t.ID(), Name: t.Name(), Owner: t.Owner(), Stream: streamBuf.Bytes()}
-		if c := t.Cursor(); c != nil {
-			st.CursorID = c.ID
-		}
-		sf.Threads = append(sf.Threads, st)
+	var threadBuf bytes.Buffer
+	if err := s.Activity.SaveThreads(&threadBuf); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
-	data, err := json.MarshalIndent(&sf, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(filepath.Join(dir, threadsFile), data, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, threadsFile), threadBuf.Bytes(), 0o644); err != nil {
 		return err
 	}
 	// The snapshot is the checkpoint (docs/DURABILITY.md): compact the
@@ -85,53 +56,96 @@ func (s *System) SaveSession(dir string) error {
 }
 
 // LoadSession builds a fresh System from cfg and restores a saved session
-// into it. The simulated cluster restarts at virtual time zero (processes
-// do not survive sessions — the dissertation explicitly leaves crash
-// recovery of in-flight work out of scope).
+// into it: Recover without a log. The simulated cluster restarts at
+// virtual time zero (processes do not survive sessions — the
+// dissertation explicitly leaves crash recovery of in-flight work out of
+// scope). With durability armed, the (possibly fresh) log is anchored to
+// the loaded state by a checkpoint record carrying the restored store's
+// fingerprint, making the log a valid delta on top of this snapshot.
 func LoadSession(cfg Config, dir string) (*System, error) {
-	s, err := New(cfg)
+	s, _, err := restore(cfg, dir, "")
 	if err != nil {
 		return nil, err
 	}
-	storeData, err := os.ReadFile(filepath.Join(dir, storeFile))
-	if err != nil {
-		return nil, fmt.Errorf("core: read session store: %w", err)
-	}
-	if err := s.Store.Restore(bytes.NewReader(storeData)); err != nil {
+	if err := s.Store.Checkpoint(); err != nil {
+		s.Close()
 		return nil, err
 	}
-	threadData, err := os.ReadFile(filepath.Join(dir, threadsFile))
+	return s, nil
+}
+
+// restore is the one checkpoint restore path. It builds a System with
+// the log detached — nothing restored or replayed may re-append — and
+// restores the session checkpoint in sessionDir ("" for none). With a
+// walDir it then replays that log on top; a missing checkpoint file is
+// an empty snapshot there, since a crash may predate the first
+// SaveSession. Inference and the memo cache are then re-derived from
+// the restored history, and the configured log is opened for appends.
+func restore(cfg Config, sessionDir, walDir string) (*System, wal.ReplayStats, error) {
+	var stats wal.ReplayStats
+	bare := cfg
+	bare.Durability = nil
+	s, err := New(bare)
 	if err != nil {
-		return nil, fmt.Errorf("core: read session threads: %w", err)
+		return nil, stats, err
 	}
-	var sf sessionFile
-	if err := json.Unmarshal(threadData, &sf); err != nil {
-		return nil, fmt.Errorf("core: decode session threads: %w", err)
+	s.cfg.Durability = cfg.Durability
+	if sessionDir != "" {
+		if err := s.restoreCheckpoint(sessionDir, walDir != ""); err != nil {
+			return nil, stats, err
+		}
 	}
-	for _, st := range sf.Threads {
-		stream, err := history.Load(bytes.NewReader(st.Stream))
+	if walDir != "" {
+		if stats, err = s.replayWAL(walDir); err != nil {
+			return nil, stats, err
+		}
+	}
+	s.rederive()
+	if err := s.openWAL(); err != nil {
+		return nil, stats, err
+	}
+	return s, stats, nil
+}
+
+// restoreCheckpoint restores store.json and threads.json from dir into
+// the fresh system; threads keep their saved IDs so a log tail can name
+// them. With missingOK a missing file restores nothing.
+func (s *System) restoreCheckpoint(dir string, missingOK bool) error {
+	for _, f := range []struct {
+		name    string
+		restore func([]byte) error
+	}{
+		{storeFile, func(b []byte) error { return s.Store.Restore(bytes.NewReader(b)) }},
+		{threadsFile, func(b []byte) error { return s.Activity.RestoreThreads(bytes.NewReader(b)) }},
+	} {
+		data, err := os.ReadFile(filepath.Join(dir, f.name))
+		if missingOK && os.IsNotExist(err) {
+			continue
+		}
 		if err != nil {
-			return nil, fmt.Errorf("core: load thread %q: %w", st.Name, err)
+			return fmt.Errorf("core: read session %s: %w", f.name, err)
 		}
-		if _, err := s.Activity.ReinstateThread(st.ID, st.Name, st.Owner, stream, st.CursorID); err != nil {
-			return nil, err
+		if err := f.restore(data); err != nil {
+			return fmt.Errorf("core: restore session %s: %w", f.name, err)
 		}
-		// Re-feed the history to the inference engine so metadata
-		// (types, relationships, the ADG) is reconstructed — Ch. 6's
-		// point that the history subsumes the metadata.
-		if s.Inference != nil {
-			for _, rec := range stream.Records() {
+	}
+	return nil
+}
+
+// rederive rebuilds the data derived from the restored design history:
+// every step is re-fed to the inference engine (Ch. 6: the history
+// subsumes the metadata — types, relationships, the ADG), and the memo
+// cache, which keeps no log of its own, is re-keyed from every cleanly
+// completed step so replays after a restart are still hits.
+func (s *System) rederive() {
+	if s.Inference != nil {
+		for _, t := range s.Activity.Threads() {
+			for _, rec := range t.Stream().Records() {
 				for _, step := range rec.Steps {
 					s.Inference.ObserveStep(step)
 				}
 			}
 		}
 	}
-	// With durability armed, anchor the (possibly fresh) log to the loaded
-	// state: the checkpoint record carries the restored store's
-	// fingerprint, making the log a valid delta on top of this snapshot.
-	if err := s.Store.Checkpoint(); err != nil {
-		return nil, err
-	}
-	return s, nil
+	s.WarmMemo()
 }

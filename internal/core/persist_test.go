@@ -1,10 +1,15 @@
 package core
 
 import (
+	"fmt"
 	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"papyrus/internal/cad/logic"
+	"papyrus/internal/memo"
+	"papyrus/internal/obs"
 	"papyrus/internal/oct"
 )
 
@@ -84,17 +89,74 @@ func TestLoadSessionMissingDir(t *testing.T) {
 	}
 }
 
+// TestLoadSessionCorruptThreads: a threads.json that is not JSON, an
+// entry with a non-positive thread ID, two entries sharing an ID, and a
+// stream with two records sharing an ID are load errors. The last three
+// used to load: the non-positive ID got a fresh one, the second twin
+// replaced the first, and the duplicate record made a two-record stream.
 func TestLoadSessionCorruptThreads(t *testing.T) {
+	const stream = `{"next_id":2,"records":[{"id":1,"task":"x"}]}`
+	entry := func(id int, stream string) string {
+		return fmt.Sprintf(`{"id":%d,"name":"t","owner":"o","cursor_id":0,"stream":%s}`, id, stream)
+	}
+	doc := func(entries ...string) string { return `{"threads":[` + strings.Join(entries, ",") + `]}` }
+	for _, tc := range []struct{ name, threads string }{
+		{"not-json", "not json"},
+		{"id-zero", doc(entry(0, stream))},
+		{"id-negative", doc(entry(-1, stream))},
+		{"id-twice", doc(entry(1, stream), entry(1, stream))},
+		{"record-twice", doc(entry(1, `{"next_id":2,"records":[{"id":1},{"id":1}]}`))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := newSystem(t, Config{Nodes: 1}).SaveSession(dir); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, "threads.json"), []byte(tc.threads), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if s, err := LoadSession(Config{Nodes: 1}, dir); err == nil {
+				t.Fatalf("LoadSession accepted %s (%d threads)", tc.threads, len(s.Activity.Threads()))
+			}
+		})
+	}
+}
+
+// TestLoadSessionWarmsMemo: LoadSession rebuilds an armed memo cache from
+// the loaded history the way Recover does, so replaying a saved record
+// in the loaded session is all hits. A load that skipped the warm-up
+// left the fresh cache empty and the replay missed on every step.
+func TestLoadSessionWarmsMemo(t *testing.T) {
 	dir := t.TempDir()
-	s := newSystem(t, Config{Nodes: 1})
+	s := newSystem(t, Config{Nodes: 2, Memo: memo.NewCache()})
+	if _, err := s.ImportObject("/spec", oct.TypeBehavioral, oct.Text(logic.ShifterBehavior(4))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Invoke(s.NewThread("Shifter", "chiueh"), "create-logic-description",
+		map[string]string{"Spec": "/spec"},
+		map[string]string{"Outlogic": "sh.logic"}); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.SaveSession(dir); err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt the thread file.
-	if err := os.WriteFile(dir+"/threads.json", []byte("not json"), 0o644); err != nil {
+
+	reg := obs.NewRegistry()
+	loaded, err := LoadSession(Config{Nodes: 2, Memo: memo.NewCache(), Metrics: reg}, dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadSession(Config{Nodes: 1}, dir); err == nil {
-		t.Error("corrupt thread file accepted")
+	if warmed := reg.Counter("memo.warm"); warmed == 0 {
+		t.Fatal("memo.warm = 0 after LoadSession with an armed cache")
+	}
+	th := loaded.Activity.Threads()[0]
+	if _, err := loaded.Activity.ReplayRecord(th, th.Cursor()); err != nil {
+		t.Fatal(err)
+	}
+	if misses := reg.Counter("memo.miss"); misses != 0 {
+		t.Errorf("replay of the saved record missed %d times, want 0", misses)
+	}
+	if hits := reg.Counter("memo.hit"); hits == 0 {
+		t.Error("replay of the saved record produced no memo hits")
 	}
 }

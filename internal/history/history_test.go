@@ -3,6 +3,7 @@ package history
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"papyrus/internal/oct"
@@ -295,5 +296,10 @@ func TestLoadErrors(t *testing.T) {
 	}
 	if _, err := Load(bytes.NewBufferString(`{"next_id":1,"records":[{"id":1,"task":"x","parent_ids":[99]}]}`)); err == nil {
 		t.Error("dangling parent accepted")
+	}
+	// Two records sharing an ID: ByID could reach only one of them and
+	// parent links would be ambiguous.
+	if _, err := Load(bytes.NewBufferString(`{"records":[{"id":1},{"id":1}]}`)); err == nil || !strings.Contains(err.Error(), "record 1 appears twice") {
+		t.Errorf("duplicate record IDs: err = %v, want a duplicate error", err)
 	}
 }

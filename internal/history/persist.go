@@ -50,6 +50,9 @@ func Load(r io.Reader) (*Stream, error) {
 		rec.parents, rec.children = nil, nil
 		rec.cachedState = nil
 		rp := &rec
+		if _, dup := byID[rp.ID]; dup {
+			return nil, fmt.Errorf("history: record %d appears twice", rp.ID)
+		}
 		byID[rp.ID] = rp
 		s.records = append(s.records, rp)
 	}

@@ -161,30 +161,12 @@ func (s *Store) ReplayWALRecord(r wal.Record) (applied bool, err error) {
 func (s *Store) applyWALCommit(c walCommit) (bool, error) {
 	applied := false
 	for _, w := range c.Writes {
-		if w.Version < 1 || int64(w.Version) > maxRestoreVersion {
-			return applied, fmt.Errorf("oct: WAL write %q has version %d, out of range [1, %d]", w.Name, w.Version, maxRestoreVersion)
-		}
-		codec, ok := codecFor(w.Type)
-		if !ok {
-			return applied, fmt.Errorf("oct: no codec registered for type %q (object %s@%d)", w.Type, w.Name, w.Version)
-		}
-		data, err := codec.Unmarshal(w.Data)
+		placed, err := s.place(Object{Name: w.Name, Version: w.Version, Type: w.Type, Creator: w.Creator,
+			Stamp: w.Stamp, visible: true, lastAccess: w.LastAccess}, w.Data, "WAL write")
 		if err != nil {
-			return applied, fmt.Errorf("oct: unmarshal WAL write %s@%d: %w", w.Name, w.Version, err)
+			return applied, err
 		}
-		st := s.stripeFor(w.Name)
-		s.lock(st)
-		if st.index.Get(w.Name, w.Version) == nil {
-			st.index.Put(&Object{
-				Name: w.Name, Version: w.Version, Type: w.Type, Data: data,
-				Creator: w.Creator, Stamp: w.Stamp, visible: true,
-				lastAccess: w.LastAccess,
-			})
-			s.bytes.Add(int64(data.Size()))
-			s.written.Add(int64(data.Size()))
-			applied = true
-		}
-		st.mu.Unlock()
+		applied = applied || placed
 		if s.clock.Load() < w.Stamp {
 			s.clock.Store(w.Stamp)
 		}
@@ -198,15 +180,7 @@ func (s *Store) applyWALCommit(c walCommit) (bool, error) {
 		}
 		st.mu.Unlock()
 	}
-	for _, rm := range c.Removes {
-		st := s.stripeFor(rm.Name)
-		s.lock(st)
-		if obj := st.index.Delete(rm.Name, rm.Version); obj != nil {
-			s.bytes.Add(-int64(obj.Data.Size()))
-			applied = true
-		}
-		st.mu.Unlock()
-	}
+	applied = s.replayRemoves(c.Removes) || applied
 	if s.clock.Load() < c.Clock {
 		s.clock.Store(c.Clock)
 	}

@@ -15,7 +15,9 @@ package oct
 //     part of the chain (ChainLen does not shrink), so later version
 //     numbers never reuse a removed slot and existing references stay
 //     unambiguous (§3.2).
-//   - Iteration (Scan, Range) visits live versions only, never holes.
+//   - Iteration (Scan, Range) visits live versions only, never holes;
+//     HoleTails names the chains that end in one, which the snapshot
+//     records so a restored chain keeps its length.
 //   - The index is NOT safe for concurrent use: the stripe lock
 //     serializes every call.
 type mapIndex struct {
@@ -31,15 +33,22 @@ func newMapIndex() *mapIndex {
 // with holes as needed. Putting into an occupied slot replaces the
 // occupant (recovery paths guard against that before calling).
 func (ix *mapIndex) Put(obj *Object) {
-	versions := ix.objects[obj.Name]
-	for len(versions) < obj.Version {
-		versions = append(versions, nil)
-	}
+	versions := ix.Extend(obj.Name, obj.Version)
 	if versions[obj.Version-1] == nil {
 		ix.live++
 	}
 	versions[obj.Version-1] = obj
-	ix.objects[obj.Name] = versions
+}
+
+// Extend grows name's chain to at least n slots, padding it with holes,
+// and returns the chain.
+func (ix *mapIndex) Extend(name string, n int) []*Object {
+	versions := ix.objects[name]
+	for len(versions) < n {
+		versions = append(versions, nil)
+	}
+	ix.objects[name] = versions
+	return versions
 }
 
 // Append assigns obj the next version number — ChainLen(obj.Name)+1 —
@@ -132,6 +141,16 @@ func (ix *mapIndex) Range(fn func(*Object) bool) {
 					return
 				}
 			}
+		}
+	}
+}
+
+// HoleTails calls fn with the name and length of every chain whose
+// highest slot is a hole, in unspecified order.
+func (ix *mapIndex) HoleTails(fn func(name string, chainLen int)) {
+	for name, versions := range ix.objects {
+		if n := len(versions); versions[n-1] == nil {
+			fn(name, n)
 		}
 	}
 }

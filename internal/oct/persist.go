@@ -89,6 +89,11 @@ type snapshotObject struct {
 type snapshot struct {
 	Clock   int64            `json:"clock"`
 	Objects []snapshotObject `json:"objects"`
+	// Chains holds the length of each chain whose highest slot is a
+	// hole — its newest versions were removed or reclaimed — so a
+	// restored chain keeps its next version number (§3.2). Omitted when
+	// no chain ends in a hole.
+	Chains map[string]int `json:"chains,omitempty"`
 }
 
 // Snapshot writes the full store state as one JSON document, ordered by
@@ -98,7 +103,7 @@ type snapshot struct {
 // quiescent point if a consistent cross-stripe cut is required (the
 // shell and reclaimer both do).
 func (s *Store) Snapshot(w io.Writer) error {
-	snap := snapshot{Clock: s.clock.Load()}
+	snap := snapshot{Clock: s.clock.Load(), Chains: make(map[string]int)}
 	for i := range s.stripes {
 		st := &s.stripes[i]
 		st.mu.RLock()
@@ -121,6 +126,7 @@ func (s *Store) Snapshot(w io.Writer) error {
 			})
 			return true
 		})
+		st.index.HoleTails(func(name string, chainLen int) { snap.Chains[name] = chainLen })
 		st.mu.RUnlock()
 		if snapErr != nil {
 			return snapErr
@@ -144,8 +150,9 @@ const maxRestoreVersion int64 = 1 << 31
 // Restore loads a snapshot into an empty store. Every entry must name a
 // version in [1, 1<<31], and no (name, version) pair may appear twice:
 // a duplicate would silently replace its twin while both counted
-// toward the byte gauges. A rejected snapshot returns an error and may
-// leave the store partially loaded.
+// toward the byte gauges. A recorded chain length must lie in the same
+// range and past the chain's highest entry. A rejected snapshot returns
+// an error and may leave the store partially loaded.
 func (s *Store) Restore(r io.Reader) error {
 	raw, err := io.ReadAll(r)
 	if err != nil {
@@ -166,40 +173,55 @@ func (s *Store) Restore(r io.Reader) error {
 	s.contention.Store(0)
 	s.clock.Store(snap.Clock)
 	for _, so := range snap.Objects {
-		if err := s.restoreObject(so); err != nil {
+		placed, err := s.place(Object{Name: so.Name, Version: so.Version, Type: so.Type, Creator: so.Creator,
+			Stamp: so.Stamp, visible: so.Visible, lastAccess: so.LastAccess}, so.Data, "snapshot entry")
+		if err != nil {
 			return err
 		}
+		if !placed {
+			return fmt.Errorf("oct: snapshot entry %s@%d appears twice", so.Name, so.Version)
+		}
+	}
+	for name, n := range snap.Chains {
+		if n < 1 || int64(n) > maxRestoreVersion {
+			return fmt.Errorf("oct: snapshot chain %q has length %d, out of range [1, %d]", name, n, maxRestoreVersion)
+		}
+		st := s.stripeFor(name)
+		if top := st.index.ChainLen(name); n <= top {
+			return fmt.Errorf("oct: snapshot chain %q has length %d, not past its highest entry %d", name, n, top)
+		}
+		st.index.Extend(name, n)
 	}
 	return nil
 }
 
-// restoreObject validates one snapshot entry, decodes it through its
-// codec and places it at its recorded slot.
-func (s *Store) restoreObject(so snapshotObject) error {
-	if so.Version < 1 || int64(so.Version) > maxRestoreVersion {
-		return fmt.Errorf("oct: snapshot entry %s@%d: version out of range [1, %d]", so.Name, so.Version, maxRestoreVersion)
+// place validates one persisted version (a snapshot entry or a WAL
+// write, named by src in errors), decodes its payload through the
+// type's codec and puts it at its recorded slot, charging the byte
+// gauges. It places nothing and reports false when the slot is already
+// occupied: Restore rejects that as a duplicate, WAL replay skips it as
+// covered by the snapshot.
+func (s *Store) place(obj Object, raw json.RawMessage, src string) (bool, error) {
+	if obj.Version < 1 || int64(obj.Version) > maxRestoreVersion {
+		return false, fmt.Errorf("oct: %s %q has version %d, out of range [1, %d]", src, obj.Name, obj.Version, maxRestoreVersion)
 	}
-	c, ok := codecFor(so.Type)
+	c, ok := codecFor(obj.Type)
 	if !ok {
-		return fmt.Errorf("oct: no codec registered for type %q (object %s@%d)", so.Type, so.Name, so.Version)
+		return false, fmt.Errorf("oct: no codec registered for type %q (object %s@%d)", obj.Type, obj.Name, obj.Version)
 	}
-	data, err := c.Unmarshal(so.Data)
+	data, err := c.Unmarshal(raw)
 	if err != nil {
-		return fmt.Errorf("oct: unmarshal %s@%d: %w", so.Name, so.Version, err)
+		return false, fmt.Errorf("oct: unmarshal %s %s@%d: %w", src, obj.Name, obj.Version, err)
 	}
-	st := s.stripeFor(so.Name)
+	obj.Data = data
+	st := s.stripeFor(obj.Name)
 	s.lock(st)
-	if st.index.Get(so.Name, so.Version) != nil {
-		st.mu.Unlock()
-		return fmt.Errorf("oct: snapshot entry %s@%d appears twice", so.Name, so.Version)
+	defer st.mu.Unlock()
+	if st.index.Get(obj.Name, obj.Version) != nil {
+		return false, nil
 	}
-	st.index.Put(&Object{
-		Name: so.Name, Version: so.Version, Type: so.Type, Data: data,
-		Creator: so.Creator, Stamp: so.Stamp, visible: so.Visible,
-		lastAccess: so.LastAccess,
-	})
-	st.mu.Unlock()
+	st.index.Put(&obj)
 	s.bytes.Add(int64(data.Size()))
 	s.written.Add(int64(data.Size()))
-	return nil
+	return true, nil
 }

@@ -152,8 +152,18 @@ func (s *Store) appendReclaim(removes []Ref) error {
 // versions the snapshot or an earlier replayed record no longer carries
 // are skipped, making replay idempotent at any cut.
 func (s *Store) applyWALReclaim(p walReclaim) (bool, error) {
+	applied := s.replayRemoves(p.Removes)
+	if s.clock.Load() < p.Clock {
+		s.clock.Store(p.Clock)
+	}
+	return applied, nil
+}
+
+// replayRemoves deletes logged removals during recovery, skipping slots
+// that are already holes, and reports whether any version went.
+func (s *Store) replayRemoves(removes []Ref) bool {
 	applied := false
-	for _, rm := range p.Removes {
+	for _, rm := range removes {
 		st := s.stripeFor(rm.Name)
 		s.lock(st)
 		if obj := st.index.Delete(rm.Name, rm.Version); obj != nil {
@@ -162,10 +172,7 @@ func (s *Store) applyWALReclaim(p walReclaim) (bool, error) {
 		}
 		st.mu.Unlock()
 	}
-	if s.clock.Load() < p.Clock {
-		s.clock.Store(p.Clock)
-	}
-	return applied, nil
+	return applied
 }
 
 // TotalWrittenBytes returns the cumulative payload bytes ever written

@@ -9,8 +9,9 @@ import (
 )
 
 // TestRestoreValidation: Restore rejects entries whose version is outside
-// [1, 1<<31] and entries naming the same (name, version) twice, with an
-// error rather than a panic or a silently double-counted byte gauge —
+// [1, 1<<31], entries naming the same (name, version) twice, and chain
+// lengths out of that range or not past the chain's highest entry, with
+// an error rather than a panic or a silently double-counted byte gauge —
 // alongside the older rejections of undecodable documents and payloads.
 func TestRestoreValidation(t *testing.T) {
 	entry := func(name string, version int64) string {
@@ -18,6 +19,9 @@ func TestRestoreValidation(t *testing.T) {
 	}
 	doc := func(entries ...string) string {
 		return `{"clock":3,"objects":[` + strings.Join(entries, ",") + `]}`
+	}
+	chained := func(doc, chains string) string {
+		return strings.TrimSuffix(doc, "}") + `,"chains":` + chains + "}"
 	}
 	for _, tc := range []struct {
 		name    string
@@ -32,7 +36,13 @@ func TestRestoreValidation(t *testing.T) {
 		{"duplicate", doc(entry("/a", 1), entry("/a", 1)), "appears twice"},
 		{"duplicate-after-gap", doc(entry("/a", 2), entry("/b", 1), entry("/a", 2)), "appears twice"},
 		{"unknown-type", `{"clock":1,"objects":[{"name":"/a","version":1,"type":"mystery","data":"hi"}]}`, "no codec"},
-		{"undecodable-payload", `{"clock":1,"objects":[{"name":"/a","version":1,"type":"text","data":7}]}`, "unmarshal /a@1"},
+		{"undecodable-payload", `{"clock":1,"objects":[{"name":"/a","version":1,"type":"text","data":7}]}`, "unmarshal snapshot entry /a@1"},
+		{"chain-past-entry", chained(doc(entry("/a", 1)), `{"/a":3}`), ""},
+		{"chain-without-entries", chained(doc(), `{"/gone":2}`), ""},
+		{"chain-zero", chained(doc(), `{"/a":0}`), "out of range"},
+		{"chain-too-long", chained(doc(), `{"/a":2147483649}`), "out of range"},
+		{"chain-at-entry", chained(doc(entry("/a", 1), entry("/a", 2)), `{"/a":2}`), "not past its highest entry 2"},
+		{"chain-below-entry", chained(doc(entry("/a", 4)), `{"/a":2}`), "not past its highest entry 4"},
 		{"not-json", `{"clock":`, "decode snapshot"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -54,6 +64,56 @@ func TestRestoreValidation(t *testing.T) {
 				t.Fatalf("Restore error = %v, want one containing %q", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestSnapshotKeepsTrailingHoles: a chain whose newest versions were
+// removed keeps its length through Snapshot/Restore, so the next Put
+// assigns the same number it would have on the live store and a
+// removed version number is never reused (§3.2). Snapshots with no such
+// chain carry no "chains" field, byte for byte as before.
+func TestSnapshotKeepsTrailingHoles(t *testing.T) {
+	live := NewStoreWithStripes(2)
+	for i := 0; i < 4; i++ {
+		if _, err := live.Put("/a", TypeText, Text("a"), "test"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := live.Put("/b", TypeText, Text("b"), "test"); err != nil {
+		t.Fatal(err)
+	}
+	var plain bytes.Buffer
+	if err := live.Snapshot(&plain); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(plain.String(), `"chains"`) {
+		t.Fatalf("snapshot without trailing holes carries chain lengths: %s", plain.Bytes())
+	}
+	for _, ref := range []Ref{{"/a", 3}, {"/a", 4}, {"/b", 1}} {
+		if err := live.Remove(ref); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := live.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	restored := NewStoreWithStripes(4)
+	if err := restored.Restore(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*Store{live, restored} {
+		a, err := s.Put("/a", TypeText, Text("a"), "test")
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := s.Put("/b", TypeText, Text("b"), "test")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Version != 5 || b.Version != 2 {
+			t.Errorf("next versions after removing the chain tails = /a@%d /b@%d, want /a@5 /b@2", a.Version, b.Version)
+		}
 	}
 }
 
@@ -98,6 +158,14 @@ func FuzzSnapshotRestore(f *testing.F) {
 	for _, cut := range []int{0, 1, len(good) / 4, len(good) / 2, len(good) - 2} {
 		f.Add(good[:cut])
 	}
+	if err := s.Remove(Ref{Name: "/f/b", Version: 1}); err != nil {
+		f.Fatal(err)
+	}
+	var holes bytes.Buffer
+	if err := s.Snapshot(&holes); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(holes.Bytes())
 	f.Add([]byte(`{"clock":1,"objects":[{"name":"/x","version":0,"type":"text","data":"x"}]}`))
 	f.Add([]byte(`{"clock":1,"objects":[{"name":"/x","version":1,"type":"text","data":"x"},{"name":"/x","version":1,"type":"text","data":"x"}]}`))
 
@@ -107,6 +175,11 @@ func FuzzSnapshotRestore(f *testing.F) {
 			for _, so := range probe.Objects {
 				if so.Version > fuzzMaxVersion {
 					t.Skip("version beyond the fuzz memory cap")
+				}
+			}
+			for _, n := range probe.Chains {
+				if n > fuzzMaxVersion {
+					t.Skip("chain length beyond the fuzz memory cap")
 				}
 			}
 		}

@@ -18,10 +18,13 @@ import (
 	"strings"
 	"testing"
 
+	"papyrus/internal/activity"
 	"papyrus/internal/cad"
 	"papyrus/internal/cad/logic"
 	"papyrus/internal/core"
 	"papyrus/internal/fault"
+	"papyrus/internal/history"
+	"papyrus/internal/memo"
 	"papyrus/internal/obs"
 	"papyrus/internal/oct"
 	"papyrus/internal/task"
@@ -370,5 +373,109 @@ func TestSnapshotPlusWALEqualsMemory(t *testing.T) {
 					workers, k, fullMap, gotMap)
 			}
 		}
+	}
+}
+
+// TestRestoreEquivalence: LoadSession is Recover without a log. One saved
+// session — two threads with cursors, an annotation, a hidden version,
+// the memo armed and inference on — restored by LoadSession and by
+// Recover over an empty log gives the same store fingerprint, the same
+// threads (IDs, names, owners, cursors, LastAccess), the same memo entry
+// count and the same inferred metadata.
+func TestRestoreEquivalence(t *testing.T) {
+	mkConfig := func() core.Config {
+		return core.Config{Nodes: 2, Memo: memo.NewCache(), Metrics: obs.NewRegistry()}
+	}
+	live, err := core.New(mkConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := live.ImportObject("/spec", oct.TypeBehavioral, oct.Text(logic.ShifterBehavior(4))); err != nil {
+		t.Fatal(err)
+	}
+	invoke := func(th *activity.Thread, task string, in, out map[string]string) {
+		t.Helper()
+		if _, err := live.Invoke(th, task, in, out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a := live.NewThread("Shifter", "chiueh")
+	invoke(a, "create-logic-description", map[string]string{"Spec": "/spec"}, map[string]string{"Outlogic": "sh.logic"})
+	first := a.Cursor()
+	invoke(a, "PLA-generation", map[string]string{"Inlogic": "sh.logic"}, map[string]string{"Outcell": "sh.pla"})
+	if err := a.Annotate(first, "logic done"); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.MoveCursor(first); err != nil {
+		t.Fatal(err)
+	}
+	b := live.NewThread("Variant", "jones")
+	invoke(b, "create-logic-description", map[string]string{"Spec": "/spec"}, map[string]string{"Outlogic": "v.logic"})
+	if err := live.Store.Hide(oct.Ref{Name: "sh.pla", Version: 1}); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := live.SaveSession(dir); err != nil {
+		t.Fatal(err)
+	}
+
+	loaded, err := core.LoadSession(mkConfig(), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recCfg := mkConfig()
+	recCfg.Durability = &core.DurabilityConfig{Dir: t.TempDir()}
+	recovered, _, err := core.Recover(recCfg, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recovered.Close()
+
+	if l, r, w := loaded.Store.Fingerprint(), recovered.Store.Fingerprint(), live.Store.Fingerprint(); l != w || r != w {
+		t.Errorf("fingerprints: LoadSession %.12s, Recover %.12s, live %.12s", l, r, w)
+	}
+	lt, rt := loaded.Activity.Threads(), recovered.Activity.Threads()
+	if len(lt) != 2 || len(rt) != 2 {
+		t.Fatalf("restored %d and %d threads, want 2 each", len(lt), len(rt))
+	}
+	cursor := func(c *history.Record) int {
+		if c == nil {
+			return 0
+		}
+		return c.ID
+	}
+	for i, w := range live.Activity.Threads() {
+		l, r := lt[i], rt[i]
+		want := fmt.Sprintf("%d/%s/%s cursor %d", w.ID(), w.Name(), w.Owner(), cursor(w.Cursor()))
+		for _, g := range []struct {
+			how string
+			th  *activity.Thread
+		}{{"LoadSession", l}, {"Recover", r}} {
+			if got := fmt.Sprintf("%d/%s/%s cursor %d", g.th.ID(), g.th.Name(), g.th.Owner(), cursor(g.th.Cursor())); got != want {
+				t.Errorf("%s thread %d = %s, want %s", g.how, i, got, want)
+			}
+		}
+		if l.LastAccess() != r.LastAccess() {
+			t.Errorf("thread %q LastAccess: LoadSession %d, Recover %d", w.Name(), l.LastAccess(), r.LastAccess())
+		}
+	}
+	if _, ok := lt[0].FindAnnotation("logic done"); !ok {
+		t.Error("LoadSession lost the annotation")
+	}
+	if _, ok := rt[0].FindAnnotation("logic done"); !ok {
+		t.Error("Recover lost the annotation")
+	}
+	le, re := loaded.Memo.Snapshot().Entries, recovered.Memo.Snapshot().Entries
+	if le == 0 || le != re {
+		t.Errorf("memo entries: LoadSession %d, Recover %d (want equal and > 0)", le, re)
+	}
+	ref, err := lt[0].ResolveInput("sh.logic")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lType, lok := loaded.Inference.TypeOf(ref)
+	rType, rok := recovered.Inference.TypeOf(ref)
+	if !lok || !rok || lType != rType {
+		t.Errorf("inferred type of %s: LoadSession %s/%v, Recover %s/%v", ref, lType, lok, rType, rok)
 	}
 }
